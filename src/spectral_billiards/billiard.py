@@ -256,9 +256,8 @@ def map_jacobian(curve: BoundaryCurve, p: PhasePoint, step: float = 1e-6,
     """Central-difference Jacobian of B^iterations at p in (s, xi)."""
     def image(s, xi):
         q = PhasePoint(s % curve.total_length, xi)
-        acc_s = 0.0
         for _ in range(iterations):
-            q, chord = billiard_map(curve, q)
+            q, _ = billiard_map(curve, q)
         return q.s, q.xi
 
     L = curve.total_length
@@ -280,6 +279,21 @@ class FlowoutResult:
     est_error: float
 
 
+def refine(evaluate, n0: int, tol: float, n_cap: int, what: str):
+    """Double n from n0 until successive evaluate(n) agree to tol, relative
+    above 1 and absolute below; returns (value, n, est_error).  Raises
+    QuadratureNonConvergence naming `what` once n reaches n_cap."""
+    prev = evaluate(n0)
+    n = n0
+    while n < n_cap:
+        n *= 2
+        cur = evaluate(n)
+        if abs(cur - prev) < tol * max(1.0, abs(cur)):
+            return cur, n, abs(cur - prev)
+        prev = cur
+    raise QuadratureNonConvergence(f"{what} did not settle at {n} nodes")
+
+
 def flowout_integral(curve: BoundaryCurve, circle, V,
                      n_phi: int = 256, n_leg: int = 64, tol: float = 1e-9,
                      max_doublings: int = 6) -> FlowoutResult:
@@ -293,8 +307,10 @@ def flowout_integral(curve: BoundaryCurve, circle, V,
     nodes, weights = np.polynomial.legendre.leggauss(n_leg)
     u01 = 0.5 * (nodes + 1.0)
     w01 = 0.5 * weights
+    volume = math.nan
 
     def evaluate(n):
+        nonlocal volume
         s, xi = circle.phase_nodes(n)
         total = 0.0
         vol = 0.0
@@ -308,15 +324,10 @@ def flowout_integral(curve: BoundaryCurve, circle, V,
                 vals = np.full_like(u01, float(vals))
             total += ell * float(np.dot(w01, vals))
             vol += ell
-        return total / n, vol / n
+        # the last call is at the converged n, so volume needs no second pass
+        volume = vol / n
+        return total / n
 
-    prev, vol = evaluate(n_phi)
-    for _ in range(max_doublings):
-        n_phi *= 2
-        cur, vol = evaluate(n_phi)
-        if abs(cur - prev) < tol * max(1.0, abs(cur)):
-            return FlowoutResult(value=cur, volume=vol, n_phi=n_phi,
-                                 est_error=abs(cur - prev))
-        prev = cur
-    raise QuadratureNonConvergence(
-        f"flow-out quadrature did not settle below {tol} at n_phi={n_phi}")
+    value, n, err = refine(evaluate, n_phi, tol, n_phi * 2 ** max_doublings,
+                           "flow-out quadrature")
+    return FlowoutResult(value=value, volume=volume, n_phi=n, est_error=err)

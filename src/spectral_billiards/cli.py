@@ -81,7 +81,7 @@ def _kernel(cfg: dict, curve=None) -> radon.BoundaryFunction:
         j = int(_require(cfg, "j", "kernel"))
         fn = rigidity.symmetric_basis_function(j)
         if curve is not None:
-            return radon.BoundaryFunction.from_x(fn.x_func, curve)
+            return radon.BoundaryFunction.from_x(lambda x: amp * fn.x_func(x), curve)
         return radon.BoundaryFunction(s_func=None, x_func=lambda x: amp * fn.x_func(x))
     raise ConfigError(f"unknown kernel type {kind!r}")
 
@@ -91,7 +91,7 @@ def _kernel(cfg: dict, curve=None) -> radon.BoundaryFunction:
 # ---------------------------------------------------------------------------
 
 def cmd_map(cfg, out, fmt, nodes, tol):
-    _check_keys(cfg, {"domain", "s0", "xi0", "bounces", "seed"}, "map config")
+    _check_keys(cfg, {"domain", "s0", "xi0", "bounces"}, "map config")
     curve = geometry.curve_from_spec(_require(cfg, "domain", "map config"))
     m = int(cfg.get("bounces", 100))
     p = billiard.PhasePoint(float(cfg.get("s0", 0.0)), float(_require(cfg, "xi0", "map config")))
@@ -109,8 +109,7 @@ def cmd_map(cfg, out, fmt, nodes, tol):
 
 
 def cmd_circle(cfg, out, fmt, nodes, tol):
-    _check_keys(cfg, {"domain", "s0", "xi0", "n_modes", "tau", "k_max", "hess", "seed"},
-                "circle config")
+    _check_keys(cfg, {"domain", "s0", "xi0", "n_modes", "tau", "k_max", "hess"}, "circle config")
     curve = geometry.curve_from_spec(_require(cfg, "domain", "circle config"))
     seed = billiard.PhasePoint(float(cfg.get("s0", 0.0)), float(_require(cfg, "xi0", "circle config")))
     circ = tori.circle_conjugacy(curve, seed, n_modes=int(cfg.get("n_modes", 64)),
@@ -139,8 +138,7 @@ def cmd_circle(cfg, out, fmt, nodes, tol):
 
 
 def cmd_radon(cfg, out, fmt, nodes, tol):
-    _check_keys(cfg, {"domain", "kernel", "xi0_values", "h_values", "n_modes", "seed"},
-                "radon config")
+    _check_keys(cfg, {"domain", "kernel", "xi0_values", "h_values", "n_modes"}, "radon config")
     dom = _require(cfg, "domain", "radon config")
     quad_tol = tol or 1e-9
     rows = []
@@ -192,8 +190,7 @@ def _potential_function(cfg: dict):
 
 
 def cmd_potential(cfg, out, fmt, nodes, tol):
-    _check_keys(cfg, {"domain", "s0", "xi0", "potential", "n_modes", "seed"},
-                "potential config")
+    _check_keys(cfg, {"domain", "s0", "xi0", "potential", "n_modes"}, "potential config")
     curve = geometry.curve_from_spec(_require(cfg, "domain", "potential config"))
     seed = billiard.PhasePoint(float(cfg.get("s0", 0.0)), float(_require(cfg, "xi0", "potential config")))
     if curve.kind == "circle":
@@ -215,7 +212,7 @@ def cmd_potential(cfg, out, fmt, nodes, tol):
 
 
 def cmd_homological(cfg, out, fmt, nodes, tol):
-    _check_keys(cfg, {"omega", "tau", "kappa", "s", "f", "seed"}, "homological config")
+    _check_keys(cfg, {"omega", "tau", "kappa", "s", "f"}, "homological config")
     omega = cfg.get("omega")
     if omega is None:
         raise ConfigError("homological config needs omega")
@@ -259,7 +256,7 @@ def cmd_homological(cfg, out, fmt, nodes, tol):
 
 def cmd_quasimode(cfg, out, fmt, nodes, tol):
     _check_keys(cfg, {"domain", "disk_theta", "s0", "xi0", "kernel", "maslov",
-                      "radon_value", "k_range", "d_n", "M", "n_modes", "seed"},
+                      "radon_value", "k_range", "d_n", "M", "n_modes"},
                 "quasimode config")
     maslov = tuple(int(v) for v in cfg.get("maslov", (0, 0)))
     M = int(cfg.get("M", 2))
@@ -315,7 +312,7 @@ def _spectrum_from_cfg(cfg: dict) -> spectra.Spectrum:
 
 def cmd_cluster(cfg, out, fmt, nodes, tol):
     _check_keys(cfg, {"spectrum", "c", "d", "alpha", "s", "h2_files", "a",
-                      "trap", "seed"}, "cluster config")
+                      "trap"}, "cluster config")
     spec = _spectrum_from_cfg(_require(cfg, "spectrum", "cluster config"))
     c = _positive(cfg, "c", 1.0)
     d = float(_require(cfg, "d", "cluster config"))
@@ -345,7 +342,7 @@ def cmd_cluster(cfg, out, fmt, nodes, tol):
 
 def cmd_rigidity(cfg, out, fmt, nodes, tol):
     _check_keys(cfg, {"table", "h_grid", "J", "reg", "recover", "data",
-                      "rotation_grid", "seed"}, "rigidity config")
+                      "rotation_grid"}, "rigidity config")
     table = geometry.table_from_spec(_require(cfg, "table", "rigidity config"))
 
     def grid_of(gcfg, lo_default, hi_default):
@@ -391,7 +388,7 @@ def cmd_rigidity(cfg, out, fmt, nodes, tol):
 
 
 def cmd_validate_liouville(cfg, out, fmt, nodes, tol):
-    _check_keys(cfg, {"table", "k_check", "seed"}, "validate-liouville config")
+    _check_keys(cfg, {"table", "k_check"}, "validate-liouville config")
     table = geometry.table_from_spec(_require(cfg, "table", "validate-liouville config"))
     rep = geometry.liouville_validate(table, k_check=int(cfg.get("k_check", 4)))
     payload = rep.as_dict()

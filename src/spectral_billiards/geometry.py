@@ -263,8 +263,10 @@ class LiouvilleTable:
     """Planar Liouville table data on the cylinder: metric (f(x)-q(y))(dx^2+dy^2).
 
     f and q are derivative evaluators: f(x, m) is the m-th derivative at x.
-    The quotient by the (x,y) -> (-x,-y) involution is not modelled; all
-    computations live in the cylinder coordinates.
+    The Radon quadratures call f(x, 0) on numpy node arrays; liouville_validate
+    passes Python floats to f and q.  The quotient by the (x,y) -> (-x,-y)
+    involution is not modelled; all computations live in the cylinder
+    coordinates.
     """
 
     f: Callable[[float, int], float]
@@ -294,10 +296,10 @@ class LiouvilleTable:
 
 def _sin2_deriv(c2: float):
     # c2 * sin(x)^2 = c2*(1 - cos 2x)/2 and its derivatives
-    def f(x: float, m: int = 0) -> float:
+    def f(x, m: int = 0):
         if m == 0:
-            return c2 * math.sin(x) ** 2
-        return -0.5 * c2 * (2.0 ** m) * math.cos(2.0 * x + 0.5 * math.pi * m)
+            return c2 * np.sin(x) ** 2
+        return -0.5 * c2 * (2.0 ** m) * np.cos(2.0 * x + 0.5 * math.pi * m)
     return f
 
 
@@ -339,6 +341,10 @@ class ConditionReport:
     name: str
     passed: bool
     detail: str = ""
+
+    def __post_init__(self):
+        # table evaluators may return numpy scalars; keep the report JSON-serializable
+        self.passed = bool(self.passed)
 
 
 @dataclass

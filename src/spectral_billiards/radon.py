@@ -15,9 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .billiard import PhasePoint, billiard_map
-from .errors import (CirclesNotExchanged, GlancingCircle, HOutOfRange,
-                     QuadratureNonConvergence)
+from .billiard import refine
+from .errors import CirclesNotExchanged, GlancingCircle, HOutOfRange
 from .geometry import BoundaryCurve, LiouvilleTable
 
 TWO_PI = 2.0 * math.pi
@@ -135,14 +134,6 @@ def symmetry_average(K: BoundaryFunction, G: SymmetryGroup) -> BoundaryFunction:
 # circle averages (probability measure)
 # ---------------------------------------------------------------------------
 
-def _measure_nodes(circle, n: int):
-    """(s, xi, weights) for the circle's invariant probability measure."""
-    if hasattr(circle, "measure_nodes"):
-        return circle.measure_nodes(n)
-    s, xi = circle.phase_nodes(n)
-    return s, xi, np.full(len(s), 1.0 / len(s))
-
-
 def torus_invariant(curve: BoundaryCurve, circles, K: BoundaryFunction,
                     n_nodes: int = 2048, tol: float = 1e-9,
                     n_cap: int = 2 ** 17, eps_glance: float = 1e-6,
@@ -156,7 +147,7 @@ def torus_invariant(curve: BoundaryCurve, circles, K: BoundaryFunction,
     def evaluate(n):
         total = 0.0
         for circ in circles:
-            s, xi, w = _measure_nodes(circ, n)
+            s, xi, w = circ.measure_nodes(n)
             sin_theta = np.sqrt(1.0 - np.asarray(xi) ** 2)
             if np.min(sin_theta) < eps_glance:
                 raise GlancingCircle(
@@ -164,24 +155,13 @@ def torus_invariant(curve: BoundaryCurve, circles, K: BoundaryFunction,
             total += float(np.dot(w, np.asarray(K(s), dtype=float) / sin_theta))
         return total
 
-    prev = evaluate(n_nodes)
-    n = n_nodes
-    while n < n_cap:
-        n *= 2
-        cur = evaluate(n)
-        if abs(cur - prev) < tol * max(1.0, abs(cur)):
-            return (cur, n, abs(cur - prev)) if full_output else cur
-        prev = cur
-    raise QuadratureNonConvergence(f"circle average did not settle at {n} nodes")
+    val, n, err = refine(evaluate, n_nodes, tol, n_cap, "circle average")
+    return (val, n, err) if full_output else val
 
 
 # ---------------------------------------------------------------------------
 # Liouville level circles and Leray quadrature
 # ---------------------------------------------------------------------------
-
-def _f_grid(table: LiouvilleTable, x: np.ndarray) -> np.ndarray:
-    return np.array([table.f(float(v), 0) for v in x])
-
 
 def _librational_interval(table: LiouvilleTable, h: float) -> tuple[float, float]:
     """The component of {f > h} inside (0, pi): (x_h, pi - x_h)."""
@@ -213,7 +193,7 @@ class LerayCircle:
         self.curve = curve if curve is not None else table.boundary_curve()
 
     def _xi_arc(self, x: np.ndarray) -> np.ndarray:
-        f = _f_grid(self.table, x)
+        f = self.table.f(x, 0)
         return np.sqrt((f - self.h) / (f - self.table.q_N))
 
     def x_nodes(self, n: int):
@@ -221,14 +201,14 @@ class LerayCircle:
         of g against |lambda_h| (momentum branches already summed)."""
         if self.kind == "rotational":
             x = self.x_shift + TWO_PI * np.arange(n) / n
-            f = _f_grid(self.table, x)
+            f = self.table.f(x, 0)
             w = (TWO_PI / n) / np.sqrt(f - self.h)
             return x, w
         x1, x2 = _librational_interval(self.table, self.h)
         mid, rad = 0.5 * (x1 + x2), 0.5 * (x2 - x1)
         u = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
         x = mid + rad * np.cos(u)
-        f = _f_grid(self.table, x)
+        f = self.table.f(x, 0)
         smooth = np.sqrt((x - x1) * (x2 - x) / (f - self.h))
         w = 2.0 * (math.pi / n) * smooth
         return x + self.x_shift, w
@@ -282,18 +262,6 @@ class RadonPair:
         return iter((self.plus, self.minus))
 
 
-def _doubling(evaluate, n0: int, tol: float, n_cap: int, what: str):
-    prev = evaluate(n0)
-    n = n0
-    while n < n_cap:
-        n *= 2
-        cur = evaluate(n)
-        if abs(cur - prev) < tol * max(1.0, abs(cur)):
-            return cur, n, abs(cur - prev)
-        prev = cur
-    raise QuadratureNonConvergence(f"{what} did not settle at {n} nodes")
-
-
 def liouville_radon(table: LiouvilleTable, K: BoundaryFunction, h: float,
                     n_nodes: int = 2048, tol: float = 1e-9,
                     n_cap: int = 2 ** 17) -> RadonPair:
@@ -309,32 +277,22 @@ def liouville_radon(table: LiouvilleTable, K: BoundaryFunction, h: float,
         raise HOutOfRange(
             f"h={h} is not a regular value in ({table.q_N}, 0) u (0, {table.f_max})")
 
+    def evaluate(circ, n):
+        x, w = circ.x_nodes(n)
+        # 1/sin(theta) = sqrt((f - q_N)/(h - q_N)), f read on the unshifted interval
+        f = table.f(x - circ.x_shift, 0)
+        kern = np.asarray(K.in_x(x), dtype=float) * np.sqrt((f - table.q_N) / (h - table.q_N))
+        return float(np.dot(w, kern))
+
     if h < 0.0:
         circ = LerayCircle(table, h, "rotational")
-
-        def evaluate(n):
-            x, w = circ.x_nodes(n)
-            # 1/sin(theta) = sqrt((f - q_N)/(h - q_N))
-            f = _f_grid(table, x)
-            kern = np.asarray(K.in_x(x), dtype=float) * np.sqrt((f - table.q_N) / (h - table.q_N))
-            return float(np.dot(w, kern))
-
-        val, n, err = _doubling(evaluate, n_nodes, tol, n_cap, "rotational Radon")
+        val, n, err = refine(lambda n: evaluate(circ, n), n_nodes, tol, n_cap, "rotational Radon")
         return RadonPair(plus=val, minus=-val, n_nodes=n, est_error=err)
 
     lam1, lam2 = librational_circles(table, h)
-
-    def make_eval(circ):
-        def evaluate(n):
-            x, w = circ.x_nodes(n)
-            xb = x - circ.x_shift
-            f = _f_grid(table, xb)
-            kern = np.asarray(K.in_x(x), dtype=float) * np.sqrt((f - table.q_N) / (h - table.q_N))
-            return float(np.dot(w, kern))
-        return evaluate
-
-    v1, n1, e1 = _doubling(make_eval(lam1), max(64, n_nodes // 16), tol, n_cap, "librational Radon")
-    v2, n2, e2 = _doubling(make_eval(lam2), max(64, n_nodes // 16), tol, n_cap, "librational Radon")
+    n0 = max(64, n_nodes // 16)
+    v1, n1, e1 = refine(lambda n: evaluate(lam1, n), n0, tol, n_cap, "librational Radon")
+    v2, n2, e2 = refine(lambda n: evaluate(lam2, n), n0, tol, n_cap, "librational Radon")
     return RadonPair(plus=v1, minus=v2, n_nodes=max(n1, n2), est_error=max(e1, e2))
 
 
@@ -347,8 +305,7 @@ def leray_mass(table: LiouvilleTable, h: float, n_nodes: int = 2048,
         circ = librational_circles(table, h)[0]
     else:
         raise HOutOfRange(f"h={h} is not a regular value")
-    val, _, _ = _doubling(lambda n: circ.mass(n), max(64, n_nodes // 16), tol, n_cap, "Leray mass")
-    return val
+    return refine(circ.mass, max(64, n_nodes // 16), tol, n_cap, "Leray mass")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +337,8 @@ def bouncing_ball_identity_check(curve: BoundaryCurve, lam1, lam2,
     Hausdorff distance of the reflected node clouds before integrating.
     """
     n_check = 256
-    s1, x1, _ = _measure_nodes(lam1, n_check)
-    s2, x2, _ = _measure_nodes(lam2, n_check)
+    s1, x1, _ = lam1.measure_nodes(n_check)
+    s2, x2, _ = lam2.measure_nodes(n_check)
     fixed = False
     swapped = False
     for name, gmap in zip(G.element_names()[1:], G.phase_maps()[1:]):
@@ -398,7 +355,7 @@ def bouncing_ball_identity_check(curve: BoundaryCurve, lam1, lam2,
     K_sym = symmetry_average(K, G)
 
     def average(circ, fun, n):
-        s, xi, w = _measure_nodes(circ, n)
+        s, xi, w = circ.measure_nodes(n)
         return float(np.dot(w, np.asarray(fun(s), dtype=float) / np.sqrt(1.0 - xi**2)))
 
     # deliberately different node counts: keeps the two sides independent

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .billiard import Orbit, PhasePoint, billiard_map, map_jacobian, orbit
+from .billiard import EPS_GLANCE, Orbit, PhasePoint, billiard_map, map_jacobian, orbit
 from .errors import (FitDiverged, HyperbolicPoint, NonCircleOrbit,
                      NonPeriodicOrbit, OrbitTooShort, ResonantRotation)
 from .geometry import BoundaryCurve, CircleCurve, EllipseCurve
@@ -43,11 +43,6 @@ def birkhoff_weights(n: int) -> np.ndarray:
 def weighted_birkhoff_average(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     return float(np.dot(birkhoff_weights(len(values)), values))
-
-
-def _weighted_fourier_mode(values: np.ndarray, phases: np.ndarray, k: int,
-                           weights: np.ndarray) -> complex:
-    return complex(np.dot(weights, values * np.exp(-1j * k * phases)))
 
 
 @dataclass(frozen=True)
@@ -231,8 +226,12 @@ class InvariantCircle:
 
     def phase_nodes(self, n: int = 1024):
         """Equal-weight nodes of the invariant probability measure."""
-        phi = TWO_PI * np.arange(n) / n
-        return self.s_of_phi(phi) % self.total_length, self.xi_of_phi(phi)
+        return self.grid(n)[1:]
+
+    def measure_nodes(self, n: int = 1024):
+        """phase_nodes with their equal probability weights: (s, xi, w)."""
+        s, xi = self.phase_nodes(n)
+        return s, xi, np.full(n, 1.0 / n)
 
     def grid(self, n: int = 1024):
         phi = TWO_PI * np.arange(n) / n
@@ -278,6 +277,10 @@ def _conjugacy_residual(curve: BoundaryCurve, circ: InvariantCircle, n_check: in
     phi = TWO_PI * np.arange(n_check) / n_check
     s = circ.s_of_phi(phi) % curve.total_length
     xi = circ.xi_of_phi(phi)
+    xi_peak = float(np.max(np.abs(xi)))
+    if xi_peak > 1.0 - EPS_GLANCE:
+        raise FitDiverged(f"fitted circle reaches |xi| = {xi_peak!r}, "
+                          f"past the glancing cutoff 1-{EPS_GLANCE}")
     s_img = np.empty(n_check)
     xi_img = np.empty(n_check)
     for i in range(n_check):

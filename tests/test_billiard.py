@@ -6,9 +6,10 @@ import pytest
 from spectral_billiards.billiard import (PhasePoint, billiard_map,
                                          flowout_integral,
                                          generating_residual, map_jacobian,
-                                         orbit)
+                                         orbit, refine)
 from spectral_billiards.disk import disk_circle
-from spectral_billiards.errors import DegenerateChord, GlancingRay
+from spectral_billiards.errors import (DegenerateChord, GlancingRay,
+                                       QuadratureNonConvergence)
 from spectral_billiards.tori import liouville_integral
 
 
@@ -128,3 +129,22 @@ def test_flowout_closed_form_any_theta(unit_circle):
     res = flowout_integral(unit_circle, circ, lambda x, y: x ** 2 + y ** 2)
     expected = 2.0 * math.sin(theta) * math.cos(theta) ** 2 + (2.0 / 3.0) * math.sin(theta) ** 3
     assert res.value == pytest.approx(expected, abs=1e-12)
+
+
+def test_refine_stops_at_first_agreeing_doubling():
+    calls = []
+
+    def evaluate(n):
+        calls.append(n)
+        return 1.0 + 1.0 / n ** 4
+
+    value, n, err = refine(evaluate, 8, 1e-6, 1024, "test sum")
+    # successive differences 2.3e-4, 1.4e-5, 8.9e-7: the third is below tol
+    assert calls == [8, 16, 32, 64]
+    assert (value, n) == (1.0 + 1.0 / 64 ** 4, 64)
+    assert err == pytest.approx(1.0 / 32 ** 4 - 1.0 / 64 ** 4, rel=1e-9)
+
+
+def test_refine_names_its_quantity_when_it_does_not_settle():
+    with pytest.raises(QuadratureNonConvergence, match="test sum did not settle at 64 nodes"):
+        refine(lambda n: float(n), 8, 1e-9, 64, "test sum")

@@ -1,0 +1,88 @@
+import json
+import math
+
+import numpy as np
+import pytest
+
+from spectral_billiards import cli
+from spectral_billiards.geometry import make_ellipse
+
+TABLE = {"type": "liouville", "c": 1.0, "N": 1.0}
+
+# one small config per command: (config, format, extra output suffixes)
+CONFIGS = {
+    "map": ({"domain": {"type": "circle", "r": 1.0}, "xi0": 0.3, "bounces": 40}, "csv", ()),
+    "circle": ({"domain": {"type": "ellipse", "a": 2.0, "b": 1.0}, "xi0": 0.6, "hess": False},
+               "csv", (".action.json",)),
+    "radon": ({"domain": TABLE, "h_values": [-0.5, 0.3],
+               "kernel": {"type": "cos_x", "j": 1, "amplitude": 2.0}}, "csv", ()),
+    "potential": ({"domain": {"type": "circle", "r": 1.0}, "xi0": 0.4,
+                   "potential": {"type": "r2"}}, "json", ()),
+    "homological": ({"omega": (math.sqrt(5.0) - 1.0) / 2.0,
+                     "f": {"coeffs": [[1, 1.0, 0.0], [-1, 1.0, 0.0]]}}, "json", ()),
+    "quasimode": ({"disk_theta": math.pi / 3.0, "k_range": [20, 22]}, "csv", ()),
+    "cluster": ({"spectrum": {"type": "squares", "count": 60, "dimension": 1},
+                 "d": 1.0, "alpha": 50.0}, "csv", (".report.json",)),
+    "rigidity": ({"table": TABLE, "h_grid": {"count": 6}, "J": 4,
+                  "recover": {"coefficients": [1.0, 0.5]}}, "csv", (".report.json",)),
+    "validate-liouville": ({"table": TABLE}, "json", ()),
+}
+
+
+def run(tmp_path, command, config, fmt="json", tag="out"):
+    cfg = tmp_path / f"{tag}.config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / f"{tag}.{fmt}"
+    return cli.main([command, "--config", str(cfg), "--out", str(out), "--format", fmt]), out
+
+
+def error_of(capsys):
+    return json.loads(capsys.readouterr().out)["error"]
+
+
+def test_every_command_is_covered():
+    assert set(CONFIGS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_command_succeeds_and_rerun_is_byte_identical(tmp_path, command):
+    config, fmt, extras = CONFIGS[command]
+    outputs = []
+    for tag in ("first", "second"):
+        rc, out = run(tmp_path, command, config, fmt, tag)
+        assert rc == 0
+        outputs.append([out.read_bytes()] + [(tmp_path / (out.name + sfx)).read_bytes()
+                                             for sfx in extras])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_seed_key_is_unknown_and_exits_2(tmp_path, capsys, command):
+    config, fmt, _ = CONFIGS[command]
+    rc, _ = run(tmp_path, command, {**config, "seed": 1}, fmt)
+    assert rc == 2
+    assert error_of(capsys) == "ConfigError"
+
+
+def test_rigidity_truncating_everything_exits_3(tmp_path, capsys):
+    config = CONFIGS["rigidity"][0]
+    rc, _ = run(tmp_path, "rigidity", {**config, "reg": 2.0})
+    assert rc == 3
+    assert error_of(capsys) == "RankDeficient"
+
+
+def test_circle_fit_reaching_glancing_exits_3(tmp_path, capsys):
+    # the Hessian neighbour fit at this momentum extrapolates |xi| past 1
+    rc, _ = run(tmp_path, "circle", {"domain": {"type": "ellipse", "a": 1.6, "b": 1.0},
+                                     "xi0": 0.445})
+    assert rc == 3
+    assert error_of(capsys) == "FitDiverged"
+
+
+def test_cos_x_kernel_on_curve_keeps_amplitude():
+    curve = make_ellipse(2.0, 1.0)
+    K = cli._kernel({"type": "cos_x", "j": 1, "amplitude": 2}, curve)
+    x = np.linspace(0.0, 2.0 * math.pi, 17)
+    assert np.allclose(K.in_x(x), 2.0 * np.cos(2.0 * x), rtol=0.0, atol=1e-15)
+    assert np.allclose(K(curve.arclength_of_param(x)), 2.0 * np.cos(2.0 * x),
+                       rtol=0.0, atol=1e-9)

@@ -152,3 +152,11 @@ def test_domain_spec_strict_keys():
         curve_from_spec({"type": "torus"})
     with pytest.raises(ConfigError):
         curve_from_spec({"type": "ellipse", "a": 2.0, "b": 1.0, "tilt": 0.3})
+
+
+def test_elliptic_table_f_on_arrays_matches_scalar_calls():
+    table = elliptic_table(1.3, 0.8)
+    x = np.linspace(-7.0, 7.0, 101)
+    for m in range(5):
+        scalar = np.array([table.f(float(v), m) for v in x])
+        assert np.allclose(table.f(x, m), scalar, rtol=1e-15, atol=0.0)

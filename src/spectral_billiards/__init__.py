@@ -2,8 +2,8 @@
 for planar tables."""
 
 from .billiard import (ChordData, Orbit, PhasePoint, billiard_map,
-                       flowout_integral, generating_residual, map_jacobian,
-                       orbit)
+                       billiard_map_many, flowout_integral,
+                       generating_residual, map_jacobian, orbit)
 from .geometry import (BoundaryCurve, LiouvilleTable, curve_from_spec,
                        elliptic_table, elliptic_table_for_ellipse,
                        liouville_validate, make_circle, make_ellipse,

@@ -2,10 +2,13 @@
 
 Phase space is (s, xi): arclength along the boundary and tangential
 momentum, |xi| < 1.  The outgoing unit direction at (s, xi) is
-xi*T(s) + sqrt(1-xi^2)*nu(s); the next intersection with the boundary is
-found from the implicit form of the curve (closed-form quadratic for
-circles/ellipses, bracketed root solve for Fourier curves) and refined
-to ~1e-12.  The chord length is the generating function of the map:
+xi*T(s) + sqrt(1-xi^2)*nu(s).  The bounce itself lives on the curve:
+BoundaryCurve.step finds the next intersection with the boundary in the
+construction parameter t (closed-form quadratic for circles/ellipses,
+bracketed root solve for Fourier curves) to ~1e-12.  Batches of phase
+points go through billiard_map_many, which converts s <-> t once for the
+whole batch; billiard_map is its one-point view and orbit() steps in t.
+The chord length is the generating function of the map:
 d(len)/ds = -xi, d(len)/ds' = xi'.
 """
 
@@ -18,11 +21,9 @@ import numpy as np
 
 from .errors import (DegenerateChord, GlancingRay, NewtonDivergence,
                      NoTransversalHit, QuadratureNonConvergence)
-from .geometry import BoundaryCurve, CircleCurve, EllipseCurve, FourierCurve
+from .geometry import TWO_PI, BoundaryCurve
 
 EPS_GLANCE = 1e-6
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -51,107 +52,36 @@ class ChordData:
     direction: tuple[float, float]
 
 
-def _conic_step(a: float, b: float, t: float, xi: float) -> tuple[float, float, float]:
-    """One bounce on x^2/a^2 + y^2/b^2 = 1 in the angle parameter t.
+def billiard_map_many(curve: BoundaryCurve, s, xi, eps_glance: float = EPS_GLANCE):
+    """Apply the billiard ball map once to each phase point (s[i], xi[i]).
 
-    Returns (t', xi', chord length).  Scalar math is deliberate: orbits
-    are sequential and this is the hot path.
+    One glancing check and one s -> t solve for the whole batch, the
+    curve's step on each node, one t -> s solve back.  Returns the arrays
+    (s', xi', chord length, t, t'), t and t' the construction parameters
+    of the chord's endpoints; entry i equals billiard_map on point i.
     """
-    ct, st = math.cos(t), math.sin(t)
-    x0, y0 = a * ct, b * st
-    vx, vy = -a * st, b * ct
-    sp = math.hypot(vx, vy)
-    tx, ty = vx / sp, vy / sp
-    eta = math.sqrt(max(0.0, 1.0 - xi * xi))
-    dx = xi * tx - eta * ty
-    dy = xi * ty + eta * tx
-    ia2, ib2 = 1.0 / (a * a), 1.0 / (b * b)
-    qa = dx * dx * ia2 + dy * dy * ib2
-    qb = 2.0 * (x0 * dx * ia2 + y0 * dy * ib2)
-    u = -qb / qa
-    x1, y1 = x0 + u * dx, y0 + u * dy
-    for _ in range(2):
-        f = x1 * x1 * ia2 + y1 * y1 * ib2 - 1.0
-        df = 2.0 * (x1 * dx * ia2 + y1 * dy * ib2)
-        u -= f / df
-        x1, y1 = x0 + u * dx, y0 + u * dy
-    t1 = math.atan2(y1 / b, x1 / a) % TWO_PI
-    wx, wy = -a * math.sin(t1), b * math.cos(t1)
-    wsp = math.hypot(wx, wy)
-    xi1 = (dx * wx + dy * wy) / wsp
-    return t1, xi1, u
-
-
-def _fourier_step(curve: FourierCurve, t: float, xi: float) -> tuple[float, float, float]:
-    """One bounce on a star-shaped Fourier curve: angular-sweep bracket of
-    the ray/boundary gap, then Brent refinement."""
-    from scipy.optimize import brentq
-
-    x0, y0 = curve.position_t(t)
-    vx, vy = curve.velocity_t(t)
-    sp = math.hypot(vx, vy)
-    tx, ty = vx / sp, vy / sp
-    eta = math.sqrt(max(0.0, 1.0 - xi * xi))
-    dx = xi * tx - eta * ty
-    dy = xi * ty + eta * tx
-
-    rho_max = curve._rho0 + np.abs(curve._ak).sum() + np.abs(curve._bk).sum()
-
-    def gap(u):
-        px, py = x0 + u * dx, y0 + u * dy
-        return math.hypot(px, py) - curve.radius(math.atan2(py, px))
-
-    u_hi = 2.2 * rho_max
-    grid = np.concatenate([np.geomspace(1e-9 * rho_max, 0.1 * rho_max, 24),
-                           np.linspace(0.1 * rho_max, u_hi, 160)])
-    prev_u, prev_g = None, None
-    for u in grid:
-        g = gap(float(u))
-        if g > 0.0 and prev_u is not None:
-            break
-        if g <= 0.0:
-            prev_u, prev_g = float(u), g
-    else:
-        raise NoTransversalHit("ray does not re-enter the boundary transversally")
-    if prev_u is None:
-        raise NoTransversalHit("ray leaves the chamber immediately; chord not bracketed")
-    try:
-        u_star = brentq(gap, prev_u, float(u), xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    except (RuntimeError, ValueError) as exc:
-        raise NewtonDivergence(f"chord refinement failed: {exc}") from exc
-    x1, y1 = x0 + u_star * dx, y0 + u_star * dy
-    t1 = math.atan2(y1, x1) % TWO_PI
-    wx, wy = curve.velocity_t(t1)
-    wsp = math.hypot(wx, wy)
-    xi1 = (dx * wx + dy * wy) / wsp
-    return t1, xi1, u_star
-
-
-def _step_param(curve: BoundaryCurve, t: float, xi: float) -> tuple[float, float, float]:
-    if isinstance(curve, CircleCurve):
-        return _conic_step(curve.r, curve.r, t, xi)
-    if isinstance(curve, EllipseCurve):
-        return _conic_step(curve.a, curve.b, t, xi)
-    if isinstance(curve, FourierCurve):
-        return _fourier_step(curve, t, xi)
-    raise TypeError(f"unsupported curve type {type(curve).__name__}")
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    peak = float(np.max(np.abs(xi)))
+    if peak > 1.0 - eps_glance:
+        raise GlancingRay(f"|xi| = {peak} exceeds the glancing cutoff 1-{eps_glance}")
+    t = curve.param_of_arclength(s % curve.total_length)
+    out = np.array([curve.step(float(tk), float(xik)) for tk, xik in zip(t, xi)])
+    t1, xi1, ell = out.T
+    s1 = curve.arclength_of_param(t1) % curve.total_length
+    return s1, xi1, ell, t, t1
 
 
 def billiard_map(curve: BoundaryCurve, p: PhasePoint,
                  eps_glance: float = EPS_GLANCE) -> tuple[PhasePoint, ChordData]:
     """Apply the billiard ball map once; returns the image point and chord."""
-    if abs(p.xi) > 1.0 - eps_glance:
-        raise GlancingRay(f"|xi| = {abs(p.xi)} exceeds the glancing cutoff 1-{eps_glance}")
-    t = curve.param_of_arclength(p.s % curve.total_length)
-    t1, xi1, ell = _step_param(curve, t, p.xi)
-    s1 = curve.arclength_of_param(t1) % curve.total_length
+    s1, xi1, ell, t, t1 = (float(v[0]) for v in billiard_map_many(curve, p.s, p.xi, eps_glance))
     target = PhasePoint(s1, xi1)
-    x0, y0 = curve.position_t(t)
-    x1, y1 = curve.position_t(t1)
-    dx, dy = (x1 - x0) / ell, (y1 - y0) / ell
+    x0, y0 = (float(v) for v in curve.position_t(t))
+    x1, y1 = (float(v) for v in curve.position_t(t1))
+    direction = ((x1 - x0) / ell, (y1 - y0) / ell)
     chord = ChordData(source=p, target=target, length=ell, action=ell,
-                      start_xy=(float(x0), float(y0)), end_xy=(float(x1), float(y1)),
-                      direction=(float(dx), float(dy)))
+                      start_xy=(x0, y0), end_xy=(x1, y1), direction=direction)
     return target, chord
 
 
@@ -160,7 +90,7 @@ class Orbit:
     """m bounces of the billiard map, stored as arrays.
 
     t and s are lifted (not reduced mod the period) so rotation numbers can
-    be read off; points()/chords() give the modular view.
+    be read off; points() gives the modular view.
     """
     curve: BoundaryCurve
     t_lifted: np.ndarray
@@ -208,7 +138,7 @@ def orbit(curve: BoundaryCurve, p: PhasePoint, m: int,
         if abs(xi) > 1.0 - eps_glance:
             raise GlancingRay(f"bounce {i}: |xi| = {abs(xi)} exceeds the glancing cutoff")
         try:
-            t_next, xi, ell = _step_param(curve, t % TWO_PI, xi)
+            t_next, xi, ell = curve.step(t % TWO_PI, xi)
         except (NoTransversalHit, NewtonDivergence) as exc:
             raise type(exc)(f"bounce {i}: {exc}") from exc
         # forward lift: the generating function len(s, s') is defined on the
@@ -254,21 +184,14 @@ def generating_residual(curve: BoundaryCurve, s: float, s_prime: float,
 def map_jacobian(curve: BoundaryCurve, p: PhasePoint, step: float = 1e-6,
                  iterations: int = 1) -> np.ndarray:
     """Central-difference Jacobian of B^iterations at p in (s, xi)."""
-    def image(s, xi):
-        q = PhasePoint(s % curve.total_length, xi)
-        for _ in range(iterations):
-            q, _ = billiard_map(curve, q)
-        return q.s, q.xi
-
     L = curve.total_length
-    out = np.empty((2, 2))
-    for j, (ds, dxi) in enumerate(((step, 0.0), (0.0, step))):
-        sp, xp = image(p.s + ds, p.xi + dxi)
-        sm, xm = image(p.s - ds, p.xi - dxi)
-        dd = ((sp - sm + 0.5 * L) % L) - 0.5 * L
-        out[0, j] = dd / (2.0 * step)
-        out[1, j] = (xp - xm) / (2.0 * step)
-    return out
+    # the four stencil points (s+-step, xi) and (s, xi+-step) as one batch
+    s = (p.s + np.array([step, -step, 0.0, 0.0])) % L
+    xi = p.xi + np.array([0.0, 0.0, step, -step])
+    for _ in range(iterations):
+        s, xi, *_ = billiard_map_many(curve, s, xi)
+    ds = ((s[0::2] - s[1::2] + 0.5 * L) % L) - 0.5 * L
+    return np.array([ds, xi[0::2] - xi[1::2]]) / (2.0 * step)
 
 
 @dataclass
@@ -311,22 +234,16 @@ def flowout_integral(curve: BoundaryCurve, circle, V,
 
     def evaluate(n):
         nonlocal volume
-        s, xi = circle.phase_nodes(n)
-        total = 0.0
-        vol = 0.0
-        for sk, xik in zip(s, xi):
-            _, chord = billiard_map(curve, PhasePoint(float(sk % curve.total_length), float(xik)))
-            ell = chord.length
-            px = chord.start_xy[0] + ell * u01 * chord.direction[0]
-            py = chord.start_xy[1] + ell * u01 * chord.direction[1]
-            vals = np.asarray(V(px, py), dtype=float)
-            if vals.ndim == 0:
-                vals = np.full_like(u01, float(vals))
-            total += ell * float(np.dot(w01, vals))
-            vol += ell
+        _, _, ell, t, t1 = billiard_map_many(curve, *circle.phase_nodes(n))
+        x0, y0 = curve.position_t(t)
+        x1, y1 = curve.position_t(t1)
+        # the n_leg points of each chord as one row of an (n, n_leg) array
+        px = x0[:, None] + (x1 - x0)[:, None] * u01
+        py = y0[:, None] + (y1 - y0)[:, None] * u01
+        vals = np.broadcast_to(np.asarray(V(px, py), dtype=float), px.shape)
         # the last call is at the converged n, so volume needs no second pass
-        volume = vol / n
-        return total / n
+        volume = float(np.mean(ell))
+        return float(np.mean(ell * (vals @ w01)))
 
     value, n, err = refine(evaluate, n_phi, tol, n_phi * 2 ** max_doublings,
                            "flow-out quadrature")

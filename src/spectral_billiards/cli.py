@@ -127,11 +127,8 @@ def cmd_circle(cfg, out, fmt, nodes, tol):
         return 0
     n = nodes or 256
     phi, s, xi = circ.grid(n)
-    rows = []
-    for i in range(n):
-        _, chord = billiard.billiard_map(curve, billiard.PhasePoint(float(s[i]), float(xi[i])))
-        rows.append((phi[i], s[i], xi[i], chord.length))
-    _write_csv(out, ["phi", "s", "xi", "chord_length"], rows)
+    ell = billiard.billiard_map_many(curve, s, xi)[2]
+    _write_csv(out, ["phi", "s", "xi", "chord_length"], zip(phi, s, xi, ell))
     if out is not None:
         _write_json(str(out) + ".action.json", record)
     return 0

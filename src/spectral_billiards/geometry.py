@@ -14,17 +14,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import (ConfigError, NewtonDivergence, NoTransversalHit,
+                     ValidationError)
 
 _ARCLENGTH_SAMPLES = 4096
+
+TWO_PI = 2.0 * math.pi
 
 
 class BoundaryCurve:
     """Closed convex planar curve with arclength parametrization.
 
     Subclasses supply the t-parametrization (``position_t`` and its two
-    derivatives); this base class builds total_length, s <-> t conversion
-    and the s-parametrized geometry accessors on top of it.
+    derivatives) and the billiard bounce ``step``; this base class builds
+    total_length, s <-> t conversion and the s-parametrized geometry
+    accessors on top of it.
     """
 
     kind = "generic"
@@ -70,16 +74,27 @@ class BoundaryCurve:
         return float(s[0]) if scalar else s
 
     def param_of_arclength(self, s):
+        """Newton inverse of arclength_of_param; each entry of an array stops
+        on its own, so a batch equals one-at-a-time calls bit for bit."""
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = s / self._mean_speed
         tol = 1e-14 * max(1.0, self.total_length)
+        live = np.arange(len(t))
         for _ in range(60):
-            f = self.arclength_of_param(t) - s
-            t = t - f / self.speed_t(t)
-            if np.max(np.abs(f)) < tol:
+            tl = t[live]
+            f = self.arclength_of_param(tl) - s[live]
+            t[live] = tl - f / self.speed_t(tl)
+            live = live[np.abs(f) >= tol]
+            if not live.size:
                 break
         return float(t[0]) if scalar else t
+
+    def step(self, t: float, xi: float) -> tuple[float, float, float]:
+        """One bounce of the billiard map from parameter t with tangential
+        momentum xi: returns (t' in [0, 2*pi), xi', chord length).  Scalar,
+        since orbits are sequential; batches go through billiard_map_many."""
+        raise NotImplementedError
 
     # s-parametrized accessors ------------------------------------------------
     def position(self, s):
@@ -109,6 +124,37 @@ class BoundaryCurve:
     def is_convex(self, samples: int = 4096) -> bool:
         t = 2.0 * np.pi * np.arange(samples) / samples
         return bool(np.all(self.curvature_t(t) > 0.0))
+
+
+def _conic_step(a: float, b: float, t: float, xi: float) -> tuple[float, float, float]:
+    """One bounce on x^2/a^2 + y^2/b^2 = 1 in the angle parameter t.
+
+    Returns (t', xi', chord length).  Scalar math is deliberate: orbits
+    are sequential and this is the hot path.
+    """
+    ct, st = math.cos(t), math.sin(t)
+    x0, y0 = a * ct, b * st
+    vx, vy = -a * st, b * ct
+    sp = math.hypot(vx, vy)
+    tx, ty = vx / sp, vy / sp
+    eta = math.sqrt(max(0.0, 1.0 - xi * xi))
+    dx = xi * tx - eta * ty
+    dy = xi * ty + eta * tx
+    ia2, ib2 = 1.0 / (a * a), 1.0 / (b * b)
+    qa = dx * dx * ia2 + dy * dy * ib2
+    qb = 2.0 * (x0 * dx * ia2 + y0 * dy * ib2)
+    u = -qb / qa
+    x1, y1 = x0 + u * dx, y0 + u * dy
+    for _ in range(2):
+        f = x1 * x1 * ia2 + y1 * y1 * ib2 - 1.0
+        df = 2.0 * (x1 * dx * ia2 + y1 * dy * ib2)
+        u -= f / df
+        x1, y1 = x0 + u * dx, y0 + u * dy
+    t1 = math.atan2(y1 / b, x1 / a) % TWO_PI
+    wx, wy = -a * math.sin(t1), b * math.cos(t1)
+    wsp = math.hypot(wx, wy)
+    xi1 = (dx * wx + dy * wy) / wsp
+    return t1, xi1, u
 
 
 class CircleCurve(BoundaryCurve):
@@ -155,6 +201,9 @@ class CircleCurve(BoundaryCurve):
             return np.full(np.shape(t), 1.0 / self.r)
         return 1.0 / self.r
 
+    def step(self, t, xi):
+        return _conic_step(self.r, self.r, t, xi)
+
 
 class EllipseCurve(BoundaryCurve):
     """Ellipse x^2/a^2 + y^2/b^2 = 1, arclength origin at (a, 0), CCW."""
@@ -179,6 +228,9 @@ class EllipseCurve(BoundaryCurve):
     def acceleration_t(self, t):
         t = np.asarray(t, dtype=float)
         return -self.a * np.cos(t), -self.b * np.sin(t)
+
+    def step(self, t, xi):
+        return _conic_step(self.a, self.b, t, xi)
 
 
 class FourierCurve(BoundaryCurve):
@@ -237,6 +289,50 @@ class FourierCurve(BoundaryCurve):
         ax = (d2 - rho) * np.cos(t) - 2.0 * d1 * np.sin(t)
         ay = (d2 - rho) * np.sin(t) + 2.0 * d1 * np.cos(t)
         return ax, ay
+
+    def step(self, t, xi):
+        """Angular-sweep bracket of the ray/boundary gap, then Brent
+        refinement."""
+        from scipy.optimize import brentq
+
+        x0, y0 = self.position_t(t)
+        vx, vy = self.velocity_t(t)
+        sp = math.hypot(vx, vy)
+        tx, ty = vx / sp, vy / sp
+        eta = math.sqrt(max(0.0, 1.0 - xi * xi))
+        dx = xi * tx - eta * ty
+        dy = xi * ty + eta * tx
+
+        rho_max = self._rho0 + np.abs(self._ak).sum() + np.abs(self._bk).sum()
+
+        def gap(u):
+            px, py = x0 + u * dx, y0 + u * dy
+            return math.hypot(px, py) - self.radius(math.atan2(py, px))
+
+        u_hi = 2.2 * rho_max
+        grid = np.concatenate([np.geomspace(1e-9 * rho_max, 0.1 * rho_max, 24),
+                               np.linspace(0.1 * rho_max, u_hi, 160)])
+        prev_u, prev_g = None, None
+        for u in grid:
+            g = gap(float(u))
+            if g > 0.0 and prev_u is not None:
+                break
+            if g <= 0.0:
+                prev_u, prev_g = float(u), g
+        else:
+            raise NoTransversalHit("ray does not re-enter the boundary transversally")
+        if prev_u is None:
+            raise NoTransversalHit("ray leaves the chamber immediately; chord not bracketed")
+        try:
+            u_star = brentq(gap, prev_u, float(u), xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        except (RuntimeError, ValueError) as exc:
+            raise NewtonDivergence(f"chord refinement failed: {exc}") from exc
+        x1, y1 = x0 + u_star * dx, y0 + u_star * dy
+        t1 = math.atan2(y1, x1) % TWO_PI
+        wx, wy = self.velocity_t(t1)
+        wsp = math.hypot(wx, wy)
+        xi1 = (dx * wx + dy * wy) / wsp
+        return t1, xi1, u_star
 
 
 def make_circle(r: float = 1.0) -> CircleCurve:

@@ -17,9 +17,7 @@ import numpy as np
 
 from .billiard import refine
 from .errors import CirclesNotExchanged, GlancingCircle, HOutOfRange
-from .geometry import BoundaryCurve, LiouvilleTable
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, BoundaryCurve, LiouvilleTable
 
 
 # ---------------------------------------------------------------------------
@@ -192,40 +190,39 @@ class LerayCircle:
         self.x_shift = x_shift
         self.curve = curve if curve is not None else table.boundary_curve()
 
-    def _xi_arc(self, x: np.ndarray) -> np.ndarray:
-        f = self.table.f(x, 0)
+    def _xi_arc(self, f: np.ndarray) -> np.ndarray:
         return np.sqrt((f - self.h) / (f - self.table.q_N))
 
     def x_nodes(self, n: int):
-        """(x, leray_weights) with sum w_i * g(x_i) ~ closed-loop integral
-        of g against |lambda_h| (momentum branches already summed)."""
+        """(x, leray_weights, f) with sum w_i * g(x_i) ~ closed-loop
+        integral of g against |lambda_h| (momentum branches already
+        summed); f is the table's f on the nodes before the x_shift."""
         if self.kind == "rotational":
-            x = self.x_shift + TWO_PI * np.arange(n) / n
+            x = TWO_PI * np.arange(n) / n
             f = self.table.f(x, 0)
             w = (TWO_PI / n) / np.sqrt(f - self.h)
-            return x, w
-        x1, x2 = _librational_interval(self.table, self.h)
-        mid, rad = 0.5 * (x1 + x2), 0.5 * (x2 - x1)
-        u = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
-        x = mid + rad * np.cos(u)
-        f = self.table.f(x, 0)
-        smooth = np.sqrt((x - x1) * (x2 - x) / (f - self.h))
-        w = 2.0 * (math.pi / n) * smooth
-        return x + self.x_shift, w
+        else:
+            x1, x2 = _librational_interval(self.table, self.h)
+            mid, rad = 0.5 * (x1 + x2), 0.5 * (x2 - x1)
+            u = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
+            x = mid + rad * np.cos(u)
+            f = self.table.f(x, 0)
+            smooth = np.sqrt((x - x1) * (x2 - x) / (f - self.h))
+            w = 2.0 * (math.pi / n) * smooth
+        return x + self.x_shift, w, f
 
     def mass(self, n: int = 2048) -> float:
-        _, w = self.x_nodes(n)
-        return float(w.sum())
+        return float(self.x_nodes(n)[1].sum())
 
     def measure_nodes(self, n: int = 2048):
         """(s, xi, probability weights) in billiard phase space."""
         if self.kind == "rotational":
-            x, w = self.x_nodes(n)
-            xi = self.sign * self._xi_arc(x)
+            x, w, f = self.x_nodes(n)
+            xi = self.sign * self._xi_arc(f)
             s = self.curve.arclength_of_param(x % TWO_PI)
             return s % self.curve.total_length, xi, w / w.sum()
-        x, w = self.x_nodes(max(8, n // 2))
-        xi = self._xi_arc(x - self.x_shift)
+        x, w, f = self.x_nodes(max(8, n // 2))
+        xi = self._xi_arc(f)
         s = self.curve.arclength_of_param(x % TWO_PI)
         s = np.concatenate([s, s]) % self.curve.total_length
         xi = np.concatenate([xi, -xi])
@@ -278,9 +275,8 @@ def liouville_radon(table: LiouvilleTable, K: BoundaryFunction, h: float,
             f"h={h} is not a regular value in ({table.q_N}, 0) u (0, {table.f_max})")
 
     def evaluate(circ, n):
-        x, w = circ.x_nodes(n)
         # 1/sin(theta) = sqrt((f - q_N)/(h - q_N)), f read on the unshifted interval
-        f = table.f(x - circ.x_shift, 0)
+        x, w, f = circ.x_nodes(n)
         kern = np.asarray(K.in_x(x), dtype=float) * np.sqrt((f - table.q_N) / (h - table.q_N))
         return float(np.dot(w, kern))
 
@@ -316,15 +312,10 @@ def _hausdorff(curve: BoundaryCurve, set1, set2) -> float:
     s1, x1 = set1
     s2, x2 = set2
     L = curve.total_length
-    d12 = np.empty(len(s1))
-    for i in range(len(s1)):
-        ds = np.abs(((s1[i] - s2 + 0.5 * L) % L) - 0.5 * L)
-        d12[i] = np.min(np.hypot(ds, x1[i] - x2))
-    d21 = np.empty(len(s2))
-    for i in range(len(s2)):
-        ds = np.abs(((s2[i] - s1 + 0.5 * L) % L) - 0.5 * L)
-        d21[i] = np.min(np.hypot(ds, x2[i] - x1))
-    return float(max(d12.max(), d21.max()))
+    # d[i, j]: distance from point i of set1 to point j of set2, s periodic
+    ds = np.abs(((s1[:, None] - s2[None, :] + 0.5 * L) % L) - 0.5 * L)
+    d = np.hypot(ds, x1[:, None] - x2[None, :])
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def bouncing_ball_identity_check(curve: BoundaryCurve, lam1, lam2,

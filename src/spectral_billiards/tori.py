@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .billiard import EPS_GLANCE, Orbit, PhasePoint, billiard_map, map_jacobian, orbit
+from .billiard import (EPS_GLANCE, Orbit, PhasePoint, billiard_map,
+                       billiard_map_many, map_jacobian, orbit)
 from .errors import (FitDiverged, HyperbolicPoint, NonCircleOrbit,
                      NonPeriodicOrbit, OrbitTooShort, ResonantRotation)
-from .geometry import BoundaryCurve, CircleCurve, EllipseCurve
-
-TWO_PI = 2.0 * math.pi
+from .geometry import TWO_PI, BoundaryCurve, CircleCurve, EllipseCurve
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +273,12 @@ def _fit_coeffs(values: np.ndarray, phases: np.ndarray, n_modes: int,
 
 
 def _conjugacy_residual(curve: BoundaryCurve, circ: InvariantCircle, n_check: int = 512) -> float:
-    phi = TWO_PI * np.arange(n_check) / n_check
-    s = circ.s_of_phi(phi) % curve.total_length
-    xi = circ.xi_of_phi(phi)
+    phi, s, xi = circ.grid(n_check)
     xi_peak = float(np.max(np.abs(xi)))
     if xi_peak > 1.0 - EPS_GLANCE:
         raise FitDiverged(f"fitted circle reaches |xi| = {xi_peak!r}, "
                           f"past the glancing cutoff 1-{EPS_GLANCE}")
-    s_img = np.empty(n_check)
-    xi_img = np.empty(n_check)
-    for i in range(n_check):
-        q, _ = billiard_map(curve, PhasePoint(float(s[i]), float(xi[i])))
-        s_img[i], xi_img[i] = q.s, q.xi
+    s_img, xi_img, *_ = billiard_map_many(curve, s, xi)
     s_tgt = circ.s_of_phi(phi + TWO_PI * circ.omega_orbit) % curve.total_length
     xi_tgt = circ.xi_of_phi(phi + TWO_PI * circ.omega_orbit)
     L = curve.total_length
@@ -331,15 +324,10 @@ def circle_conjugacy(curve: BoundaryCurve, seed: PhasePoint, n_modes: int = 64,
         if circ.residual < tol_conj:
             return circ
         # the mean s-defect is linear in the omega error; polish and refit
-        phi = TWO_PI * np.arange(256) / 256
-        s = circ.s_of_phi(phi) % L
-        xi = circ.xi_of_phi(phi)
-        defect = 0.0
-        for i in range(len(phi)):
-            q, _ = billiard_map(curve, PhasePoint(float(s[i]), float(xi[i])))
-            tgt = float(circ.s_of_phi(phi[i] + TWO_PI * omega_orbit)) % L
-            defect += (((q.s - tgt + 0.5 * L) % L) - 0.5 * L)
-        defect /= len(phi)
+        phi, s, xi = circ.grid(256)
+        s_img, *_ = billiard_map_many(curve, s, xi)
+        s_tgt = circ.s_of_phi(phi + TWO_PI * omega_orbit) % L
+        defect = float(np.mean(((s_img - s_tgt + 0.5 * L) % L) - 0.5 * L))
         omega_orbit += defect / L
     if best.residual < 10.0 * tol_conj:
         return best
@@ -374,12 +362,7 @@ class ActionData:
 
 
 def _chord_average(curve: BoundaryCurve, circ: InvariantCircle, n: int) -> float:
-    s, xi = circ.phase_nodes(n)
-    total = 0.0
-    for i in range(n):
-        _, chord = billiard_map(curve, PhasePoint(float(s[i]), float(xi[i])))
-        total += chord.length
-    return total / n
+    return float(np.mean(billiard_map_many(curve, *circ.phase_nodes(n))[2]))
 
 
 def _loop_action(circ: InvariantCircle, n: int) -> float:

@@ -5,7 +5,8 @@ import pytest
 
 from spectral_billiards.geometry import (elliptic_table,
                                          elliptic_table_for_ellipse,
-                                         make_circle, make_ellipse)
+                                         make_circle, make_ellipse,
+                                         make_fourier)
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +17,19 @@ def unit_circle():
 @pytest.fixture(scope="session")
 def ellipse21():
     return make_ellipse(2.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def fourier005():
+    """Non-integrable convex table rho(t) = 1 + 0.05 cos(2t)."""
+    return make_fourier([1.0, 0.0, 0.0, 0.05])
+
+
+@pytest.fixture(scope="session", params=["circle", "ellipse", "fourier"])
+def any_curve(request):
+    """One table of each curve kind, each with its own bounce step."""
+    name = {"circle": "unit_circle", "ellipse": "ellipse21", "fourier": "fourier005"}
+    return request.getfixturevalue(name[request.param])
 
 
 @pytest.fixture(scope="session")

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from spectral_billiards.billiard import (PhasePoint, billiard_map,
-                                         flowout_integral,
+                                         billiard_map_many, flowout_integral,
                                          generating_residual, map_jacobian,
                                          orbit, refine)
 from spectral_billiards.disk import disk_circle
 from spectral_billiards.errors import (DegenerateChord, GlancingRay,
                                        QuadratureNonConvergence)
+from spectral_billiards.geometry import make_circle, make_fourier
 from spectral_billiards.tori import liouville_integral
 
 
@@ -78,20 +79,53 @@ def test_generating_residual_degenerate(unit_circle):
         generating_residual(unit_circle, 1.0, 1.0)
 
 
-def test_reversibility(ellipse21, rng):
+def test_reversibility(any_curve, rng):
     for _ in range(20):
-        p = PhasePoint(rng.uniform(0.0, ellipse21.total_length), rng.uniform(-0.9, 0.9))
-        q, _ = billiard_map(ellipse21, p)
-        back, _ = billiard_map(ellipse21, PhasePoint(q.s, -q.xi))
+        p = PhasePoint(rng.uniform(0.0, any_curve.total_length), rng.uniform(-0.9, 0.9))
+        q, _ = billiard_map(any_curve, p)
+        back, _ = billiard_map(any_curve, PhasePoint(q.s, -q.xi))
         assert back.s == pytest.approx(p.s, abs=1e-9)
         assert back.xi == pytest.approx(-p.xi, abs=1e-10)
 
 
-def test_area_preservation_sample(ellipse21):
+def test_area_preservation_sample(any_curve):
     for s in np.linspace(0.5, 9.0, 5):
         for xi in (-0.6, 0.1, 0.7):
-            J = map_jacobian(ellipse21, PhasePoint(float(s), xi))
+            J = map_jacobian(any_curve, PhasePoint(float(s), xi))
             assert np.linalg.det(J) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_batched_map_equals_one_point_map_bit_for_bit(any_curve, rng):
+    s = rng.uniform(0.0, any_curve.total_length, 32)
+    xi = rng.uniform(-0.9, 0.9, 32)
+    s1, xi1, ell, _, _ = billiard_map_many(any_curve, s, xi)
+    for i in range(32):
+        q, chord = billiard_map(any_curve, PhasePoint(float(s[i]), float(xi[i])))
+        assert (q.s, q.xi, chord.length) == (s1[i], xi1[i], ell[i])
+
+
+def test_billiard_map_returns_plain_floats(any_curve):
+    q, chord = billiard_map(any_curve, PhasePoint(0.3, 0.2))
+    values = (q.s, q.xi, chord.length, *chord.start_xy, *chord.end_xy, *chord.direction)
+    assert all(type(v) is float for v in values)
+
+
+def test_fourier_circle_matches_exact_circle_bounce_for_bounce(rng):
+    circle, fourier = make_circle(1.0), make_fourier([1.0])
+    assert fourier.kind == "fourier"
+    s = rng.uniform(0.0, circle.total_length, 32)
+    xi = rng.uniform(-0.9, 0.9, 32)
+    exact = billiard_map_many(circle, s, xi)
+    series = billiard_map_many(fourier, s, xi)
+    L = circle.total_length
+    ds = ((series[0] - exact[0] + 0.5 * L) % L) - 0.5 * L
+    assert np.max(np.abs(ds)) < 1e-13
+    for k in (1, 2):       # xi' and chord length
+        assert np.max(np.abs(series[k] - exact[k])) < 1e-13
+    # the orbit's own stepping, one bounce at a time
+    exact, series = orbit(circle, PhasePoint(0.4, 0.6), 12), orbit(fourier, PhasePoint(0.4, 0.6), 12)
+    assert np.max(np.abs(np.diff(series.s_lifted) - np.diff(exact.s_lifted))) < 1e-13
+    assert np.max(np.abs(series.xi - exact.xi)) < 1e-13
 
 
 def test_orbit_error_carries_bounce_index(ellipse21):

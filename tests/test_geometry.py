@@ -160,3 +160,14 @@ def test_elliptic_table_f_on_arrays_matches_scalar_calls():
     for m in range(5):
         scalar = np.array([table.f(float(v), m) for v in x])
         assert np.allclose(table.f(x, m), scalar, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("curve", [make_ellipse(2.0, 1.0), make_ellipse(1.6, 1.0),
+                                   make_fourier([1.0, 0.0, 0.0, 0.05])],
+                         ids=["ellipse21", "ellipse16", "fourier"])
+def test_batched_param_of_arclength_equals_scalar_calls(curve):
+    rng = np.random.default_rng(7)
+    s = np.concatenate([[0.0, curve.total_length * (1.0 - 1e-15)],
+                        rng.uniform(0.0, curve.total_length, 254)])
+    t = curve.param_of_arclength(s)
+    assert all(t[i] == curve.param_of_arclength(float(si)) for i, si in enumerate(s))

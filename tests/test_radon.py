@@ -8,7 +8,7 @@ from spectral_billiards.disk import disk_circle
 from spectral_billiards.errors import (CirclesNotExchanged, GlancingCircle,
                                        HOutOfRange)
 from spectral_billiards.radon import (BoundaryFunction, SymmetryGroup,
-                                      bouncing_ball_identity_check,
+                                      _hausdorff, bouncing_ball_identity_check,
                                       leray_mass, librational_circles,
                                       liouville_radon, rotational_circle,
                                       symmetry_average, torus_invariant)
@@ -211,3 +211,15 @@ def test_bouncing_ball_rejects_unrelated_circles(ellipse21, table_e21):
     with pytest.raises(CirclesNotExchanged):
         bouncing_ball_identity_check(ellipse21, lam1, other,
                                      BoundaryFunction.constant(1.0), G)
+
+
+def test_hausdorff_matches_pointwise_loop(ellipse21, rng):
+    L = ellipse21.total_length
+    a = (rng.uniform(0.0, L, 40), rng.uniform(-0.9, 0.9, 40))
+    b = (rng.uniform(0.0, L, 25), rng.uniform(-0.9, 0.9, 25))
+
+    def one_sided(p, q):
+        return max(min(np.hypot(abs(((sp - sq + 0.5 * L) % L) - 0.5 * L), xp - xq)
+                       for sq, xq in zip(*q)) for sp, xp in zip(*p))
+
+    assert _hausdorff(ellipse21, a, b) == max(one_sided(a, b), one_sided(b, a))

@@ -312,19 +312,16 @@ class FourierCurve(BoundaryCurve):
         u_hi = 2.2 * rho_max
         grid = np.concatenate([np.geomspace(1e-9 * rho_max, 0.1 * rho_max, 24),
                                np.linspace(0.1 * rho_max, u_hi, 160)])
-        prev_u, prev_g = None, None
-        for u in grid:
-            g = gap(float(u))
-            if g > 0.0 and prev_u is not None:
-                break
-            if g <= 0.0:
-                prev_u, prev_g = float(u), g
-        else:
+        px, py = x0 + grid * dx, y0 + grid * dy
+        g = np.hypot(px, py) - self.radius(np.arctan2(py, px))
+        # the first grid point outside the boundary after the first one inside
+        exits = (g > 0.0) & np.logical_or.accumulate(g <= 0.0)
+        if not exits.any():
             raise NoTransversalHit("ray does not re-enter the boundary transversally")
-        if prev_u is None:
-            raise NoTransversalHit("ray leaves the chamber immediately; chord not bracketed")
+        j = int(np.argmax(exits))
         try:
-            u_star = brentq(gap, prev_u, float(u), xtol=1e-14, rtol=8.9e-16, maxiter=200)
+            u_star = brentq(gap, float(grid[j - 1]), float(grid[j]),
+                            xtol=1e-14, rtol=8.9e-16, maxiter=200)
         except (RuntimeError, ValueError) as exc:
             raise NewtonDivergence(f"chord refinement failed: {exc}") from exc
         x1, y1 = x0 + u_star * dx, y0 + u_star * dy

@@ -20,9 +20,8 @@ import numpy as np
 
 from .disk import MASLOV_THETA, MASLOV_THETA0, bessel_zero, ebk_eigenvalue
 from .errors import DegenerateAction, MissingJet, NonPositiveD
+from .geometry import TWO_PI
 from .tori import ActionData
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass

@@ -9,7 +9,6 @@ forces the leading deformation coefficient to be constant.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -52,47 +51,53 @@ class Spectrum:
 
 @dataclass
 class IntervalClusterSet:
-    """Disjoint increasing intervals [a_k, b_k] with separation constants."""
+    """Disjoint increasing intervals [a_k, b_k] with separation constants.
 
-    intervals: list[tuple[float, float]]
+    ``intervals`` and ``raw_intervals`` are stored as float arrays of shape
+    (n, 2), one row [a_k, b_k] per interval in increasing order; any
+    sequence of pairs given to the constructor is converted.
+    """
+
+    intervals: np.ndarray
     c: float
     d: float
     alpha: float
     dimension: int = 2
-    raw_intervals: list[tuple[float, float]] = field(default_factory=list)
+    raw_intervals: np.ndarray = field(default_factory=list)
     soundness: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.intervals = np.asarray(self.intervals, dtype=float).reshape(-1, 2)
+        self.raw_intervals = np.asarray(self.raw_intervals, dtype=float).reshape(-1, 2)
 
     def __len__(self):
         return len(self.intervals)
 
     def widths(self) -> np.ndarray:
-        return np.array([b - a for a, b in self.intervals])
+        a, b = self.intervals.T
+        return b - a
 
     def gap_margins(self) -> np.ndarray:
         """a_{k+1} - b_k - c*b_k^{-d} for consecutive pairs."""
-        out = []
-        for (a1, b1), (a2, b2) in zip(self.intervals, self.intervals[1:]):
-            out.append(a2 - b1 - self.c * b1 ** (-self.d))
-        return np.array(out)
+        a, b = self.intervals[1:, 0], self.intervals[:-1, 1]
+        return a - b - self.c * b ** (-self.d)
 
-    def locate(self, x: float, fatten: float = 0.0) -> int | None:
-        """Index of the (possibly fattened) interval containing x."""
-        starts = [a for a, _ in self.intervals]
-        i = bisect.bisect_right(starts, x + fatten) - 1
-        if i >= 0:
-            a, b = self.intervals[i]
-            if a - fatten <= x <= b + fatten:
-                return i
-        if i + 1 < len(self.intervals):
-            a, b = self.intervals[i + 1]
-            if a - fatten <= x <= b + fatten:
-                return i + 1
-        return None
+    def locate(self, x, fatten: float = 0.0):
+        """Index of the interval containing x, each interval widened by
+        ``fatten`` on both sides, or -1 where none does.  A scalar x gives
+        an int; an array x gives an integer array of its shape.
+        """
+        a, b = self.intervals.T
+        i = np.searchsorted(a, np.add(x, fatten), "right") - 1
+        hit = (i >= 0) & (a[i] - fatten <= x) & (x <= b[i] + fatten)
+        found = np.where(hit, i, -1)
+        return int(found) if found.ndim == 0 else found
 
     def rows(self) -> list[tuple]:
-        margins = list(self.gap_margins()) + [math.nan]
-        return [(k, a, b, margins[k], b - a)
-                for k, (a, b) in enumerate(self.intervals)]
+        a, b = self.intervals.T
+        margins = np.append(self.gap_margins(), math.nan)
+        return list(zip(range(len(self)), a.tolist(), b.tolist(),
+                        margins.tolist(), (b - a).tolist()))
 
 
 def _endpoint(lam_j: float, c: float, d: float, side: int) -> float:
@@ -121,43 +126,31 @@ def build_clusters(spec: Spectrum, c: float, d: float, alpha: float) -> Interval
     if len(ev_above) == 0:
         raise EmptySpectrumAboveAlpha(f"no eigenvalues above alpha = {alpha}")
 
-    pieces = []
-    for lam_j in ev_above:
-        lo = _endpoint(lam_j, c, d, +1)
-        hi = _endpoint(lam_j, c, d, -1)
-        pieces.append((lo, hi))
-    merged = [list(pieces[0])]
-    for lo, hi in pieces[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
+    lo = np.array([_endpoint(lam_j, c, d, +1) for lam_j in ev_above])
+    hi = np.array([_endpoint(lam_j, c, d, -1) for lam_j in ev_above])
+    # a piece starts a new component when its lo lies above every earlier hi
+    reach = np.maximum.accumulate(hi)
+    first = np.append(True, lo[1:] > reach[:-1])
+    lo, hi = lo[first], reach[np.append(first[1:], True)]
     lam_top = ev.max()
-    raw = [(lo, hi) for lo, hi in merged
-           if lo >= alpha and hi < lam_top - 4.0 * c * lam_top ** (-d)]
+    top_cut = lam_top - 4.0 * c * lam_top ** (-d)
+    keep = (lo >= alpha) & (hi < top_cut)
+    lo, hi = lo[keep], hi[keep]
 
-    intervals = []
-    for lo, hi in raw:
-        a = lo + 1.5 * c * lo ** (-d)
-        b = hi - 1.5 * c * hi ** (-d)
-        if a < b:
-            intervals.append((a, b))
-
-    out = IntervalClusterSet(intervals=intervals, c=c, d=d, alpha=alpha,
-                             dimension=n, raw_intervals=raw)
-    # soundness: eigenvalue coverage and shrink-rule positivity
-    cover_ok = True
-    for lam_j in ev_above:
-        if lam_j >= lam_top - 4.0 * c * lam_top ** (-d):
-            continue
-        hits = sum(1 for lo, hi in raw if lo <= lam_j <= hi)
-        if hits != 1:
-            cover_ok = False
-    width_ok = all(b - a >= 0.5 * c * (lo ** (-d) + hi ** (-d)) * (1.0 - 1e-9) - 1e-12 * hi
-                   for (a, b), (lo, hi) in zip(intervals, raw))
-    out.soundness = {"eigenvalues_covered_once": cover_ok,
-                     "shrink_width_positive": width_ok}
-    return out
+    a = lo + 1.5 * c * lo ** (-d)
+    b = hi - 1.5 * c * hi ** (-d)
+    nonempty = a < b
+    # soundness: eigenvalue coverage and shrink-rule positivity; both raw
+    # columns are sorted, so the searchsorted difference counts exactly the
+    # raw intervals containing each eigenvalue
+    lam = ev_above[ev_above < top_cut]
+    hits = np.searchsorted(lo, lam, "right") - np.searchsorted(hi, lam, "left")
+    width_ok = b - a >= 0.5 * c * (lo ** (-d) + hi ** (-d)) * (1.0 - 1e-9) - 1e-12 * hi
+    return IntervalClusterSet(
+        intervals=np.column_stack([a, b])[nonempty], c=c, d=d, alpha=alpha, dimension=n,
+        raw_intervals=np.column_stack([lo, hi]),
+        soundness={"eigenvalues_covered_once": bool(np.all(hits == 1)),
+                   "shrink_width_positive": bool(np.all(width_ok[nonempty]))})
 
 
 def verify_H1(setI: IntervalClusterSet, s: int = 0) -> dict:
@@ -171,8 +164,7 @@ def verify_H1(setI: IntervalClusterSet, s: int = 0) -> dict:
         raise ValueError(f"need at least 10 intervals, got {len(setI)}")
     margins = setI.gap_margins()
     widths = setI.widths()
-    a = np.array([ab[0] for ab in setI.intervals])
-    seq = a ** (s / 2.0) * widths
+    seq = setI.intervals[:, 0] ** (s / 2.0) * widths
     third = max(1, len(seq) // 3)
     med = [float(np.median(seq[i * third:(i + 1) * third])) for i in range(3)]
     tail_decreasing = med[0] >= med[1] >= med[2]
@@ -199,17 +191,14 @@ def verify_H2(spectra: list[Spectrum], setI: IntervalClusterSet, a: float) -> di
     """
     if a < 1.0:
         raise ValueError("the cutoff a must be >= 1")
-    top = setI.intervals[-1][1]
+    top = setI.intervals[-1, 1]
     first_violation = None
     per_t = []
     for t, spec in enumerate(spectra):
         ev = spec.eigenvalues
         ev = ev[(ev >= a) & (ev <= top)]
-        bad = None
-        for lam in ev:
-            if setI.locate(float(lam)) is None:
-                bad = float(lam)
-                break
+        outside = ev[setI.locate(ev) < 0]
+        bad = float(outside[0]) if len(outside) else None
         per_t.append({"t_index": t, "n_checked": int(len(ev)), "violation": bad})
         if bad is not None and first_violation is None:
             first_violation = (t, bad)
@@ -267,8 +256,7 @@ def trap_constancy(paths: np.ndarray, setI: IntervalClusterSet, s: int, M: float
     if M <= lim:
         raise ValueError(f"need M > max(2d, s) = {lim}, got M = {M}")
     beta = 0.5 * (lim + M)
-    gaps = np.array([a2 - b1 for (a1, b1), (a2, b2)
-                     in zip(setI.intervals, setI.intervals[1:])])
+    gaps = setI.intervals[1:, 0] - setI.intervals[:-1, 1]
     half_gap = 0.5 * float(gaps.min())
 
     records = []
@@ -285,13 +273,12 @@ def trap_constancy(paths: np.ndarray, setI: IntervalClusterSet, s: int, M: float
         k0 = None
         jump_at = None
         for ti, val in enumerate(path):
-            fat = 0.0
             k = setI.locate(float(val))
-            if k is None:
-                a_guess = setI.intervals[0][0] if k0 is None else setI.intervals[k0][0]
+            if k < 0:
+                a_guess = float(setI.intervals[0 if k0 is None else k0, 0])
                 fat = 0.5 * setI.c * a_guess ** (-beta / 2.0)
                 k = setI.locate(float(val), fatten=fat)
-            if k is None or (k0 is not None and k != k0):
+            if k < 0 or (k0 is not None and k != k0):
                 jump_at = ti
                 break
             k0 = k
@@ -302,7 +289,7 @@ def trap_constancy(paths: np.ndarray, setI: IntervalClusterSet, s: int, M: float
                             "trapped": False, "jump_at": int(jump_at)})
             all_trapped = False
             continue
-        a_k, b_k = setI.intervals[k0]
+        a_k, b_k = setI.intervals[k0].tolist()
         mu = np.sqrt(path)
         C = float(np.max(mu ** s * 2.0 * mu))
         eps_q = C * (a_k ** (s / 2.0) * (b_k - a_k)

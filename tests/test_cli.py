@@ -86,3 +86,22 @@ def test_cos_x_kernel_on_curve_keeps_amplitude():
     assert np.allclose(K.in_x(x), 2.0 * np.cos(2.0 * x), rtol=0.0, atol=1e-15)
     assert np.allclose(K(curve.arclength_of_param(x)), 2.0 * np.cos(2.0 * x),
                        rtol=0.0, atol=1e-9)
+
+
+def test_cluster_json_with_h2_and_trap_blocks(tmp_path):
+    member = tmp_path / "member.txt"
+    member.write_text("".join(f"{j * j + 1e-4}\n" for j in range(1, 61)))
+    config = {**CONFIGS["cluster"][0], "h2_files": [str(member)],
+              "trap": {"paths": [[100.0, 100.0, 100.0], [100.0, 104.0, 108.0]],
+                       "mu0_list": [10.0, 10.0], "M": 3.0}}
+    texts = []
+    for tag in ("first", "second"):
+        rc, out = run(tmp_path, "cluster", config, "json", tag)
+        assert rc == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    report = json.loads(texts[0])
+    assert report["H2"]["passed"]
+    records = {r["q_index"]: r for r in report["trap"]["records"]}
+    assert records[0]["trapped"] and records[0]["bound_ok"] is True
+    assert not records[1]["trapped"] and records[1]["jump_at"] == 1

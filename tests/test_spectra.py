@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -93,6 +94,37 @@ def test_h1_needs_ten_intervals(squares):
         verify_H1(cs, s=0)
 
 
+# --- locate -----------------------------------------------------------------------
+
+def _locate_loop(intervals, x, fatten):
+    """Reference: bisect over the starts, then test interval i and i + 1."""
+    starts = [a for a, _ in intervals]
+    i = bisect.bisect_right(starts, x + fatten) - 1
+    for k in (i, i + 1):
+        if 0 <= k < len(intervals):
+            a, b = intervals[k]
+            if a - fatten <= x <= b + fatten:
+                return k
+    return -1
+
+
+@pytest.mark.parametrize("fatten", [0.0, 1e-3])
+def test_locate_array_matches_scalar_and_loop(disk_clusters, fatten):
+    iv = disk_clusters.intervals
+    a, b = iv[:, 0], iv[:, 1]
+    gaps = 0.5 * (b[:-1] + a[1:])
+    x = np.concatenate([0.5 * (a + b), a, b, gaps, a - 0.5 * fatten, b + 0.5 * fatten,
+                        [a[0] - 1.0, b[-1] + 1.0, 0.0, 1e9]])
+    found = disk_clusters.locate(x, fatten=fatten)
+    assert found.shape == x.shape
+    one_at_a_time = [disk_clusters.locate(float(v), fatten=fatten) for v in x]
+    assert all(isinstance(k, int) for k in one_at_a_time)
+    loop = [_locate_loop(iv.tolist(), float(v), fatten) for v in x]
+    assert found.tolist() == one_at_a_time == loop
+    assert np.all(found[-4:] == -1)
+    assert np.all(found[3 * len(a):3 * len(a) + len(gaps)] == -1)
+
+
 # --- H2 -------------------------------------------------------------------------
 
 def test_h2_generating_spectrum_covered(disk_spec, disk_clusters):
@@ -108,6 +140,16 @@ def test_h2_gap_eigenvalue_detected(disk_spec, disk_clusters):
     t, lam = rep["first_violation"]
     assert t == 1
     assert lam == pytest.approx(gap_point)
+
+
+def test_h2_reports_smallest_gap_eigenvalue(disk_spec, disk_clusters):
+    iv = disk_clusters.intervals
+    gap_lo = 0.5 * (iv[7, 1] + iv[8, 0])
+    gap_hi = 0.5 * (iv[20, 1] + iv[21, 0])
+    bad = Spectrum(np.append(disk_spec.eigenvalues, [gap_hi, gap_lo]))
+    rep = verify_H2([disk_spec, bad], disk_clusters, a=51.0)
+    assert rep["first_violation"] == (1, float(gap_lo))
+    assert [m["violation"] for m in rep["per_member"]] == [None, float(gap_lo)]
 
 
 def test_h2_perturbation_within_window_still_covered(disk_spec, disk_clusters):

@@ -7,7 +7,9 @@ BoundaryCurve.step finds the next intersection with the boundary in the
 construction parameter t (closed-form quadratic for circles/ellipses,
 bracketed root solve for Fourier curves) to ~1e-12.  Batches of phase
 points go through billiard_map_many, which converts s <-> t once for the
-whole batch; billiard_map is its one-point view and orbit() steps in t.
+whole batch and bounces it with BoundaryCurve.step_many (array arithmetic
+on circles and ellipses, step per node on Fourier curves); billiard_map is
+its one-point view and orbit() calls the scalar step in t.
 The chord length is the generating function of the map:
 d(len)/ds = -xi, d(len)/ds' = xi'.
 """
@@ -55,8 +57,8 @@ class ChordData:
 def billiard_map_many(curve: BoundaryCurve, s, xi, eps_glance: float = EPS_GLANCE):
     """Apply the billiard ball map once to each phase point (s[i], xi[i]).
 
-    One glancing check and one s -> t solve for the whole batch, the
-    curve's step on each node, one t -> s solve back.  Returns the arrays
+    One glancing check, one s -> t solve, one curve.step_many and one
+    t -> s conversion for the whole batch.  Returns the arrays
     (s', xi', chord length, t, t'), t and t' the construction parameters
     of the chord's endpoints; entry i equals billiard_map on point i.
     """
@@ -66,8 +68,7 @@ def billiard_map_many(curve: BoundaryCurve, s, xi, eps_glance: float = EPS_GLANC
     if peak > 1.0 - eps_glance:
         raise GlancingRay(f"|xi| = {peak} exceeds the glancing cutoff 1-{eps_glance}")
     t = curve.param_of_arclength(s % curve.total_length)
-    out = np.array([curve.step(float(tk), float(xik)) for tk, xik in zip(t, xi)])
-    t1, xi1, ell = out.T
+    t1, xi1, ell = curve.step_many(t, xi)
     s1 = curve.arclength_of_param(t1) % curve.total_length
     return s1, xi1, ell, t, t1
 

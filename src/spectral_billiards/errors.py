@@ -128,6 +128,28 @@ class GridTooCoarse(ValidationError):
     pass
 
 
+class NoClusters(ValidationError):
+    """Every cluster component was dropped: nothing lies between alpha and
+    the top of the supplied spectrum."""
+
+
+class TooFewIntervals(ValidationError):
+    """The H1 tail test needs at least 10 cluster intervals."""
+
+
+class TooFewEigenvalues(ValidationError):
+    """The Weyl fit needs at least 50 eigenvalues."""
+
+
+class CutoffOutOfRange(ValidationError):
+    """A cutoff (the H2 threshold a, the trap exponent M) is below its
+    admissible range."""
+
+
+class PathCountMismatch(ValidationError):
+    """mu0_list and the trap paths disagree in length."""
+
+
 # -- rigidity ----------------------------------------------------------------
 
 class RankDeficient(NumericalError):

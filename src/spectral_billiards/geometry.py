@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +27,8 @@ class BoundaryCurve:
     """Closed convex planar curve with arclength parametrization.
 
     Subclasses supply the t-parametrization (``position_t`` and its two
-    derivatives) and the billiard bounce ``step``; this base class builds
+    derivatives) and the billiard bounce ``step``, whose array form
+    ``step_many`` defaults to a loop over it; this base class builds
     total_length, s <-> t conversion and the s-parametrized geometry
     accessors on top of it.
     """
@@ -58,19 +60,27 @@ class BoundaryCurve:
         self._mean_speed = coeffs[0].real
         k = np.arange(1, len(coeffs))
         keep = np.abs(coeffs[1:]) > 1e-16 * self._mean_speed
-        self._arc_coeffs = coeffs[1:][keep]
-        self._arc_k = k[keep]
+        # the integral of sum 2*Re(c_k e^{ikt}) is 2*Im(P(e^{it})) + const
+        # with P(z) = sum_k (c_k/k) z^k; Horner wants the top coefficient first
+        top = k[keep].max(initial=0)
+        poly = np.where(keep[:top], coeffs[1: top + 1] / k[:top], 0.0)
+        self._arc_horner = poly[::-1].tolist()
+        self._arc_offset = -2.0 * float(np.imag(poly).sum())
         self.total_length = 2.0 * np.pi * self._mean_speed
 
     def arclength_of_param(self, t):
-        """Cumulative arclength s(t) from t=0, exact for the Fourier model."""
+        """Cumulative arclength s(t) from t=0, exact for the Fourier model:
+        mean speed times t plus 2*Im(P(e^{it})), P evaluated by Horner's
+        rule from one complex exponential per point."""
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        ph = np.exp(1j * np.outer(t, self._arc_k))
-        # integral of sum 2*Re(c_k e^{ikt}) is 2*[Im(c_k e^{ikt}) - Im(c_k)]/k
-        osc = 2.0 * np.imag(ph * (self._arc_coeffs / self._arc_k)[None, :]).sum(axis=1)
-        osc0 = -2.0 * np.imag(self._arc_coeffs / self._arc_k).sum()
-        s = self._mean_speed * t + osc + osc0
+        z = np.exp(1j * t)
+        acc = np.zeros_like(z)
+        for c in self._arc_horner:
+            # not in place: numpy's in-place complex product on a length-1
+            # array rounds differently, and batches must equal single points
+            acc = (acc + c) * z
+        s = self._mean_speed * t + 2.0 * acc.imag + self._arc_offset
         return float(s[0]) if scalar else s
 
     def param_of_arclength(self, s):
@@ -92,9 +102,15 @@ class BoundaryCurve:
 
     def step(self, t: float, xi: float) -> tuple[float, float, float]:
         """One bounce of the billiard map from parameter t with tangential
-        momentum xi: returns (t' in [0, 2*pi), xi', chord length).  Scalar,
-        since orbits are sequential; batches go through billiard_map_many."""
+        momentum xi: returns (t' in [0, 2*pi), xi', chord length) as
+        floats.  orbit() calls it once per bounce."""
         raise NotImplementedError
+
+    def step_many(self, t: np.ndarray, xi: np.ndarray):
+        """step on arrays of nodes, for billiard_map_many: returns the
+        arrays (t', xi', chord length).  This default calls step once per
+        node; circles and ellipses run their closed form on whole arrays."""
+        return np.array([self.step(float(tk), float(xik)) for tk, xik in zip(t, xi)]).T
 
     # s-parametrized accessors ------------------------------------------------
     def position(self, s):
@@ -126,18 +142,27 @@ class BoundaryCurve:
         return bool(np.all(self.curvature_t(t) > 0.0))
 
 
-def _conic_step(a: float, b: float, t: float, xi: float) -> tuple[float, float, float]:
+# numpy's functions under the names of the math module, so that one body of
+# conic arithmetic runs on floats (ops=math) and on arrays (ops=_ARRAY_OPS);
+# numpy before 2.0 has no atan2 alias of its own.
+_ARRAY_OPS = SimpleNamespace(cos=np.cos, sin=np.sin, sqrt=np.sqrt, hypot=np.hypot,
+                             atan2=np.arctan2)
+
+
+def _conic_step(a: float, b: float, t, xi, ops=math):
     """One bounce on x^2/a^2 + y^2/b^2 = 1 in the angle parameter t.
 
-    Returns (t', xi', chord length).  Scalar math is deliberate: orbits
-    are sequential and this is the hot path.
+    Returns (t', xi', chord length).  The one body of arithmetic runs on
+    floats with ops=math and elementwise on arrays with ops=_ARRAY_OPS; the
+    two differ only where numpy's and the C library's elementary functions
+    round differently.  Callers keep |xi| < 1 (the glancing cutoff).
     """
-    ct, st = math.cos(t), math.sin(t)
+    ct, st = ops.cos(t), ops.sin(t)
     x0, y0 = a * ct, b * st
     vx, vy = -a * st, b * ct
-    sp = math.hypot(vx, vy)
+    sp = ops.hypot(vx, vy)
     tx, ty = vx / sp, vy / sp
-    eta = math.sqrt(max(0.0, 1.0 - xi * xi))
+    eta = ops.sqrt(1.0 - xi * xi)
     dx = xi * tx - eta * ty
     dy = xi * ty + eta * tx
     ia2, ib2 = 1.0 / (a * a), 1.0 / (b * b)
@@ -150,9 +175,9 @@ def _conic_step(a: float, b: float, t: float, xi: float) -> tuple[float, float, 
         df = 2.0 * (x1 * dx * ia2 + y1 * dy * ib2)
         u -= f / df
         x1, y1 = x0 + u * dx, y0 + u * dy
-    t1 = math.atan2(y1 / b, x1 / a) % TWO_PI
-    wx, wy = -a * math.sin(t1), b * math.cos(t1)
-    wsp = math.hypot(wx, wy)
+    t1 = ops.atan2(y1 / b, x1 / a) % TWO_PI
+    wx, wy = -a * ops.sin(t1), b * ops.cos(t1)
+    wsp = ops.hypot(wx, wy)
     xi1 = (dx * wx + dy * wy) / wsp
     return t1, xi1, u
 
@@ -204,6 +229,9 @@ class CircleCurve(BoundaryCurve):
     def step(self, t, xi):
         return _conic_step(self.r, self.r, t, xi)
 
+    def step_many(self, t, xi):
+        return _conic_step(self.r, self.r, t, xi, _ARRAY_OPS)
+
 
 class EllipseCurve(BoundaryCurve):
     """Ellipse x^2/a^2 + y^2/b^2 = 1, arclength origin at (a, 0), CCW."""
@@ -231,6 +259,9 @@ class EllipseCurve(BoundaryCurve):
 
     def step(self, t, xi):
         return _conic_step(self.a, self.b, t, xi)
+
+    def step_many(self, t, xi):
+        return _conic_step(self.a, self.b, t, xi, _ARRAY_OPS)
 
 
 class FourierCurve(BoundaryCurve):

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (DTooSmall, EmptySpectrumAboveAlpha, GridTooCoarse,
-                     PathJumpsGap)
+from .errors import (CutoffOutOfRange, DTooSmall, EmptySpectrumAboveAlpha,
+                     GridTooCoarse, NoClusters, PathCountMismatch, PathJumpsGap,
+                     TooFewEigenvalues, TooFewIntervals)
 
 
 @dataclass
@@ -116,7 +117,7 @@ def build_clusters(spec: Spectrum, c: float, d: float, alpha: float) -> Interval
     The indicator is a union of per-eigenvalue intervals whose endpoints
     solve lam -+ 2c lam^-d = lam_j; overlapping ones merge into components.
     Components that may be truncated by the top of the supplied spectrum
-    are dropped.
+    are dropped; NoClusters is raised when no interval is left.
     """
     n = spec.dimension
     if d <= 0.5 * n:
@@ -140,6 +141,9 @@ def build_clusters(spec: Spectrum, c: float, d: float, alpha: float) -> Interval
     a = lo + 1.5 * c * lo ** (-d)
     b = hi - 1.5 * c * hi ** (-d)
     nonempty = a < b
+    if not nonempty.any():
+        raise NoClusters(f"no cluster interval survives between alpha = {alpha} "
+                         f"and the top of the spectrum ({lam_top})")
     # soundness: eigenvalue coverage and shrink-rule positivity; both raw
     # columns are sorted, so the searchsorted difference counts exactly the
     # raw intervals containing each eigenvalue
@@ -161,7 +165,7 @@ def verify_H1(setI: IntervalClusterSet, s: int = 0) -> dict:
     tail medians decrease.
     """
     if len(setI) < 10:
-        raise ValueError(f"need at least 10 intervals, got {len(setI)}")
+        raise TooFewIntervals(f"need at least 10 intervals, got {len(setI)}")
     margins = setI.gap_margins()
     widths = setI.widths()
     seq = setI.intervals[:, 0] ** (s / 2.0) * widths
@@ -190,7 +194,7 @@ def verify_H2(spectra: list[Spectrum], setI: IntervalClusterSet, a: float) -> di
     the finite cluster list says nothing.
     """
     if a < 1.0:
-        raise ValueError("the cutoff a must be >= 1")
+        raise CutoffOutOfRange(f"the cutoff a must be >= 1, got {a}")
     top = setI.intervals[-1, 1]
     first_violation = None
     per_t = []
@@ -215,7 +219,7 @@ def weyl_fit(spec: Spectrum) -> dict:
     """
     ev = spec.eigenvalues
     if len(ev) < 50:
-        raise ValueError("need at least 50 eigenvalues")
+        raise TooFewEigenvalues(f"need at least 50 eigenvalues, got {len(ev)}")
     n = spec.dimension
     j = np.arange(1, len(ev) + 1, dtype=float)
     half = len(ev) // 2
@@ -251,10 +255,10 @@ def trap_constancy(paths: np.ndarray, setI: IntervalClusterSet, s: int, M: float
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     mu0 = np.asarray(mu0_list, dtype=float)
     if len(mu0) != paths.shape[0]:
-        raise ValueError("mu0_list length must match the number of paths")
+        raise PathCountMismatch(f"mu0_list has {len(mu0)} entries for {paths.shape[0]} paths")
     lim = max(2.0 * setI.d, float(s))
     if M <= lim:
-        raise ValueError(f"need M > max(2d, s) = {lim}, got M = {M}")
+        raise CutoffOutOfRange(f"need M > max(2d, s) = {lim}, got M = {M}")
     beta = 0.5 * (lim + M)
     gaps = setI.intervals[1:, 0] - setI.intervals[:-1, 1]
     half_gap = 0.5 * float(gaps.min())

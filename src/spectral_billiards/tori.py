@@ -184,9 +184,37 @@ def diophantine_kappa(omega, tau: float, k_max: int) -> DiophantineWitness:
 # invariant circles
 # ---------------------------------------------------------------------------
 
+def _modes(coeffs: np.ndarray) -> np.ndarray:
+    """Mode numbers -K..K of a coefficient vector of length 2K+1."""
+    return np.arange(-(len(coeffs) // 2), len(coeffs) // 2 + 1)
+
+
+def _derivative(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients ik*c_k of the derivative of sum_k c_k e^{ik phi}."""
+    return 1j * _modes(coeffs) * coeffs
+
+
 def _eval_series(coeffs: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    kk = np.arange(-(len(coeffs) // 2), len(coeffs) // 2 + 1)
-    return np.real(np.exp(1j * np.outer(phi, kk)) @ coeffs)
+    """The real series sum_k c_k e^{ik phi} at arbitrary points, densely."""
+    return np.real(np.exp(1j * np.outer(phi, _modes(coeffs))) @ coeffs)
+
+
+def _uniform_series(a: np.ndarray, b: np.ndarray, n: int, shift: float = 0.0):
+    """Two real series sum_k a_k e^{ik phi} and sum_k b_k e^{ik phi} on the
+    grid phi_j = shift + 2*pi*j/n, j < n, by one inverse FFT of a + i*b.
+
+    Mode k lands in bin k mod n.  For n <= 2K several modes share a bin
+    and are summed; on the grid they are indistinguishable, so every n >= 1
+    matches the dense sums.
+    """
+    kk = _modes(a)
+    coeffs = a + 1j * b
+    if shift:
+        coeffs = coeffs * np.exp(1j * kk * shift)
+    spectrum = np.zeros(n, dtype=complex)
+    np.add.at(spectrum, kk % n, coeffs)
+    values = np.fft.ifft(spectrum, norm="forward")
+    return values.real, values.imag
 
 
 @dataclass
@@ -219,8 +247,7 @@ class InvariantCircle:
 
     def sprime_of_phi(self, phi):
         phi = np.asarray(phi, dtype=float)
-        kk = np.arange(-(len(self.s_coeffs) // 2), len(self.s_coeffs) // 2 + 1)
-        dcoef = 1j * kk * self.s_coeffs
+        dcoef = _derivative(self.s_coeffs)
         return (self.total_length / TWO_PI) + _eval_series(dcoef, np.atleast_1d(phi)).reshape(phi.shape)
 
     def phase_nodes(self, n: int = 1024):
@@ -232,9 +259,13 @@ class InvariantCircle:
         s, xi = self.phase_nodes(n)
         return s, xi, np.full(n, 1.0 / n)
 
-    def grid(self, n: int = 1024):
-        phi = TWO_PI * np.arange(n) / n
-        return phi, self.s_of_phi(phi) % self.total_length, self.xi_of_phi(phi)
+    def grid(self, n: int = 1024, shift: float = 0.0):
+        """(phi, s(phi) mod L, xi(phi)) on phi = shift + 2*pi*j/n, j < n;
+        both series come from one inverse FFT."""
+        phi = shift + TWO_PI * np.arange(n) / n
+        s_per, xi = _uniform_series(self.s_coeffs, self.xi_coeffs, n, shift)
+        s = (self.total_length / TWO_PI) * phi + s_per
+        return phi, s % self.total_length, xi
 
     def point(self, phi: float) -> PhasePoint:
         return PhasePoint(float(self.s_of_phi(phi)) % self.total_length,
@@ -273,14 +304,13 @@ def _fit_coeffs(values: np.ndarray, phases: np.ndarray, n_modes: int,
 
 
 def _conjugacy_residual(curve: BoundaryCurve, circ: InvariantCircle, n_check: int = 512) -> float:
-    phi, s, xi = circ.grid(n_check)
+    _, s, xi = circ.grid(n_check)
     xi_peak = float(np.max(np.abs(xi)))
     if xi_peak > 1.0 - EPS_GLANCE:
         raise FitDiverged(f"fitted circle reaches |xi| = {xi_peak!r}, "
                           f"past the glancing cutoff 1-{EPS_GLANCE}")
     s_img, xi_img, *_ = billiard_map_many(curve, s, xi)
-    s_tgt = circ.s_of_phi(phi + TWO_PI * circ.omega_orbit) % curve.total_length
-    xi_tgt = circ.xi_of_phi(phi + TWO_PI * circ.omega_orbit)
+    _, s_tgt, xi_tgt = circ.grid(n_check, TWO_PI * circ.omega_orbit)
     L = curve.total_length
     ds = np.abs(((s_img - s_tgt + 0.5 * L) % L) - 0.5 * L)
     return float(np.max(np.hypot(ds, xi_img - xi_tgt)))
@@ -324,9 +354,9 @@ def circle_conjugacy(curve: BoundaryCurve, seed: PhasePoint, n_modes: int = 64,
         if circ.residual < tol_conj:
             return circ
         # the mean s-defect is linear in the omega error; polish and refit
-        phi, s, xi = circ.grid(256)
+        _, s, xi = circ.grid(256)
         s_img, *_ = billiard_map_many(curve, s, xi)
-        s_tgt = circ.s_of_phi(phi + TWO_PI * omega_orbit) % L
+        s_tgt = circ.grid(256, TWO_PI * omega_orbit)[1]
         defect = float(np.mean(((s_img - s_tgt + 0.5 * L) % L) - 0.5 * L))
         omega_orbit += defect / L
     if best.residual < 10.0 * tol_conj:
@@ -366,8 +396,8 @@ def _chord_average(curve: BoundaryCurve, circ: InvariantCircle, n: int) -> float
 
 
 def _loop_action(circ: InvariantCircle, n: int) -> float:
-    phi = TWO_PI * np.arange(n) / n
-    return float(np.mean(circ.xi_of_phi(phi) * circ.sprime_of_phi(phi)))
+    sprime_per, xi = _uniform_series(_derivative(circ.s_coeffs), circ.xi_coeffs, n)
+    return float(np.mean(xi * ((circ.total_length / TWO_PI) + sprime_per)))
 
 
 def _geometric_L0(curve: BoundaryCurve, circ: InvariantCircle) -> float:
@@ -377,8 +407,7 @@ def _geometric_L0(curve: BoundaryCurve, circ: InvariantCircle) -> float:
     _, chord = billiard_map(curve, p0)
     # Fourier antiderivative of xi(phi) * s'(phi) between 0 and 2*pi*omega_orbit
     K = len(circ.xi_coeffs) // 2
-    kk = np.arange(-K, K + 1)
-    sprime = 1j * kk * circ.s_coeffs
+    sprime = _derivative(circ.s_coeffs)
     sprime[K] += circ.total_length / TWO_PI
     prod = np.convolve(circ.xi_coeffs, sprime)
     kk2 = np.arange(-2 * K, 2 * K + 1)

@@ -79,6 +79,13 @@ def test_circle_fit_reaching_glancing_exits_3(tmp_path, capsys):
     assert error_of(capsys) == "FitDiverged"
 
 
+@pytest.mark.parametrize("alpha, error", [(3300.0, "TooFewIntervals"), (3500.0, "NoClusters")])
+def test_cluster_without_enough_intervals_exits_2(tmp_path, capsys, alpha, error):
+    rc, _ = run(tmp_path, "cluster", {**CONFIGS["cluster"][0], "alpha": alpha})
+    assert rc == 2
+    assert error_of(capsys) == error
+
+
 def test_cos_x_kernel_on_curve_keeps_amplitude():
     curve = make_ellipse(2.0, 1.0)
     K = cli._kernel({"type": "cos_x", "j": 1, "amplitude": 2}, curve)

@@ -171,3 +171,43 @@ def test_batched_param_of_arclength_equals_scalar_calls(curve):
                         rng.uniform(0.0, curve.total_length, 254)])
     t = curve.param_of_arclength(s)
     assert all(t[i] == curve.param_of_arclength(float(si)) for i, si in enumerate(s))
+
+
+def _arclength_dense(curve, t, samples=4096):
+    """Reference s(t): the speed's FFT coefficients c_k, then the integral
+    c_0 t + sum_k 2 Im(c_k (e^{ikt} - 1))/k summed mode by mode."""
+    grid = 2.0 * math.pi * np.arange(samples) / samples
+    c = np.fft.rfft(curve.speed_t(grid)) / samples
+    k = np.arange(1, len(c))
+    phase = np.exp(1j * np.outer(t, k)) - 1.0
+    return c[0].real * t + 2.0 * np.imag(phase @ (c[1:] / k))
+
+
+@pytest.mark.parametrize("curve", [make_ellipse(2.0, 1.0), make_fourier([1.0, 0.0, 0.0, 0.05]),
+                                   make_fourier([1.0, 0.0, 0.0, 0.03, 0.0, 0.0, 0.01])],
+                         ids=["ellipse21", "fourier005", "fourier003-001"])
+def test_horner_arclength_matches_dense_sum(curve):
+    rng = np.random.default_rng(11)
+    t = np.concatenate([[0.0, math.pi, 2.0 * math.pi], rng.uniform(0.0, 2.0 * math.pi, 200),
+                        rng.uniform(0.0, 1e5, 200)])
+    ref = _arclength_dense(curve, t)
+    got = curve.arclength_of_param(t)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), curve.total_length))
+    assert curve.arclength_of_param(2.0 * math.pi) == pytest.approx(curve.total_length,
+                                                                    rel=1e-14)
+    assert all(curve.arclength_of_param(float(v)) == got[i] for i, v in enumerate(t[:20]))
+
+
+@pytest.mark.parametrize("curve", [make_circle(1.3), make_ellipse(2.0, 1.0)],
+                         ids=["circle", "ellipse21"])
+def test_array_conic_step_matches_scalar_step(curve):
+    # numpy's and the C library's sin, cos and atan2 may round apart by an ulp
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.0, 2.0 * math.pi, 1000)
+    xi = rng.uniform(-0.99, 0.99, 1000)
+    t1, xi1, ell = curve.step_many(t, xi)
+    ref = np.array([curve.step(float(a), float(b)) for a, b in zip(t, xi)])
+    dt = (t1 - ref[:, 0] + math.pi) % (2.0 * math.pi) - math.pi
+    assert np.max(np.abs(dt)) <= 1e-14
+    assert np.max(np.abs(xi1 - ref[:, 1])) <= 1e-14
+    assert np.max(np.abs(ell - ref[:, 2])) <= 1e-14

@@ -6,8 +6,11 @@ import pytest
 from scipy.optimize import brentq
 
 from spectral_billiards.disk import dirichlet_spectrum
-from spectral_billiards.errors import (DTooSmall, EmptySpectrumAboveAlpha,
-                                       GridTooCoarse, PathJumpsGap)
+from spectral_billiards.errors import (CutoffOutOfRange, DTooSmall,
+                                       EmptySpectrumAboveAlpha, GridTooCoarse,
+                                       NoClusters, PathCountMismatch,
+                                       PathJumpsGap, TooFewEigenvalues,
+                                       TooFewIntervals)
 from spectral_billiards.quasi import (BirkhoffData, evaluate_mu, find_indices,
                                       solve_recursion)
 from spectral_billiards.spectra import (IntervalClusterSet, Spectrum,
@@ -90,8 +93,14 @@ def test_h1_s_out_of_guaranteed_range(disk_clusters):
 
 def test_h1_needs_ten_intervals(squares):
     cs = build_clusters(squares, c=1.0, d=1.0, alpha=3300.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewIntervals):
         verify_H1(cs, s=0)
+
+
+def test_no_surviving_component_raises(squares):
+    # alpha = 3500 leaves only 3600, whose component the top cut drops
+    with pytest.raises(NoClusters):
+        build_clusters(squares, c=1.0, d=1.0, alpha=3500.0)
 
 
 # --- locate -----------------------------------------------------------------------
@@ -130,6 +139,11 @@ def test_locate_array_matches_scalar_and_loop(disk_clusters, fatten):
 def test_h2_generating_spectrum_covered(disk_spec, disk_clusters):
     rep = verify_H2([disk_spec, disk_spec], disk_clusters, a=51.0)
     assert rep["passed"]
+
+
+def test_h2_cutoff_below_one_raises(disk_spec, disk_clusters):
+    with pytest.raises(CutoffOutOfRange):
+        verify_H2([disk_spec], disk_clusters, a=0.5)
 
 
 def test_h2_gap_eigenvalue_detected(disk_spec, disk_clusters):
@@ -177,6 +191,11 @@ def test_weyl_disk(disk_spec):
     fit = weyl_fit(disk_spec)
     assert 3.5 <= fit["two_v"] <= 4.5
     assert fit["two_sided_ok"]
+
+
+def test_weyl_needs_fifty_eigenvalues():
+    with pytest.raises(TooFewEigenvalues):
+        weyl_fit(Spectrum(np.arange(1.0, 11.0)))
 
 
 def test_weyl_degenerate_flagged():
@@ -271,8 +290,15 @@ def test_trap_grid_too_coarse(quasi_family):
 def test_trap_requires_M_above_threshold(quasi_family):
     family, mu0s, clusters = quasi_family
     paths, _ = family(0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(CutoffOutOfRange):
         trap_constancy(paths, clusters, s=0, M=2.0, mu0_list=mu0s)
+
+
+def test_trap_requires_one_mu0_per_path(quasi_family):
+    family, mu0s, clusters = quasi_family
+    paths, _ = family(0.0, 0.0)
+    with pytest.raises(PathCountMismatch):
+        trap_constancy(paths, clusters, s=0, M=3.0, mu0_list=list(mu0s)[:-1])
 
 
 # --- spectrum file I/O -----------------------------------------------------------------

@@ -107,6 +107,25 @@ def test_disk_conjugacy_exact(unit_circle, golden):
     assert np.max(np.abs(circ.xi_of_phi(phi) - math.cos(math.pi * golden))) < 1e-9
 
 
+@pytest.fixture(scope="module")
+def circle21(ellipse21):
+    return circle_conjugacy(ellipse21, PhasePoint(0.0, 0.5), n_modes=64)
+
+
+def test_fft_grid_matches_dense_sums(circle21, unit_circle, rng):
+    K = circle21.n_modes
+    disk = disk_circle(unit_circle, 1.1, s0=0.3)
+    for circ in (circle21, disk):
+        L = circ.total_length
+        for n in (1, 7, 2 * K, 2 * K + 1, 256, 8192):
+            for shift in (0.0, *rng.uniform(-10.0, 10.0, 2)):
+                phi, s, xi = circ.grid(n, shift)
+                assert np.array_equal(phi, shift + TWO_PI * np.arange(n) / n)
+                ds = ((s - circ.s_of_phi(phi) + 0.5 * L) % L) - 0.5 * L
+                assert np.max(np.abs(ds)) < 1e-13
+                assert np.max(np.abs(xi - circ.xi_of_phi(phi))) < 1e-13
+
+
 def test_resonant_seed_rejected(unit_circle):
     with pytest.raises(ResonantRotation):
         circle_conjugacy(unit_circle, PhasePoint(0.0, 0.5), n_modes=16, n_fit=4096)

@@ -188,7 +188,14 @@ class LerayCircle:
         self.kind = kind
         self.sign = sign
         self.x_shift = x_shift
-        self.curve = curve if curve is not None else table.boundary_curve()
+        self._curve = curve
+
+    @property
+    def curve(self) -> BoundaryCurve:
+        """The planar table, built on first use: only measure_nodes needs it."""
+        if self._curve is None:
+            self._curve = self.table.boundary_curve()
+        return self._curve
 
     def _xi_arc(self, f: np.ndarray) -> np.ndarray:
         return np.sqrt((f - self.h) / (f - self.table.q_N))
@@ -244,7 +251,7 @@ def librational_circles(table: LiouvilleTable, h: float,
     if not 0.0 < h < table.f_max:
         raise HOutOfRange(f"h={h} outside the librational range (0, {table.f_max})")
     lam1 = LerayCircle(table, h, "librational", x_shift=0.0, curve=curve)
-    lam2 = LerayCircle(table, h, "librational", x_shift=math.pi, curve=lam1.curve)
+    lam2 = LerayCircle(table, h, "librational", x_shift=math.pi, curve=curve)
     return lam1, lam2
 
 

@@ -3,7 +3,9 @@
 Rotation numbers come from weighted Birkhoff averages (super-polynomial
 convergence on Diophantine circles), conjugacies to rigid rotation from a
 weighted Fourier projection of one long orbit, actions and normal-form
-data from loop integrals along the fitted circle.
+data from loop integrals along the fitted circle, and the Hessian of L
+from the mean twist of the map in the circle's tangent-normal frame, so
+no neighbouring circle is fitted.
 
 Sign convention: the orbit advances the angle by +2*pi*omega_orbit per
 bounce; the stored normal-form rotation datum is omega = -omega_orbit
@@ -419,34 +421,58 @@ def _geometric_L0(curve: BoundaryCurve, circ: InvariantCircle) -> float:
     return chord.length - partial
 
 
+def _frame(circ: InvariantCircle, n: int, shift: float = 0.0):
+    """Tangent F' = (s', xi') and normal N = (-xi', s')/|F'|^2 of the circle
+    on phi = shift + 2*pi*j/n, each as an (s, xi) pair of arrays.
+
+    Omega(F', N) = 1 for the area form Omega(u, v) = u_s v_xi - u_xi v_s.
+    """
+    ds, dxi = _uniform_series(_derivative(circ.s_coeffs), _derivative(circ.xi_coeffs), n, shift)
+    ds = ds + circ.total_length / TWO_PI
+    norm2 = ds * ds + dxi * dxi
+    return (ds, dxi), (-dxi / norm2, ds / norm2)
+
+
+def _mean_twist(curve: BoundaryCurve, circ: InvariantCircle, n: int) -> float:
+    """Mean over phi of T(phi) = Omega(DB N(phi), N(phi + alpha)), where
+    alpha = -2*pi*omega; DB N is a central difference along N, with all
+    2n stencil points in one batched map call."""
+    step = 1e-6
+    _, s, xi = circ.grid(n)
+    _, (ns, nxi) = _frame(circ, n)
+    L = curve.total_length
+    s_img, xi_img, *_ = billiard_map_many(curve, np.concatenate([s + step * ns, s - step * ns]) % L,
+                                          np.concatenate([xi + step * nxi, xi - step * nxi]))
+    dbn_s = (((s_img[:n] - s_img[n:] + 0.5 * L) % L) - 0.5 * L) / (2.0 * step)
+    dbn_xi = (xi_img[:n] - xi_img[n:]) / (2.0 * step)
+    _, (ts, txi) = _frame(circ, n, TWO_PI * circ.omega_orbit)
+    return float(np.mean(dbn_s * txi - dbn_xi * ts))
+
+
 def action_data(curve: BoundaryCurve, circ: InvariantCircle,
-                n_nodes: int = 1024, hess: bool = True,
-                hess_delta: float | None = None) -> ActionData:
+                n_nodes: int = 1024, hess: bool = True) -> ActionData:
     """Action variable, loop action and normal-form derivatives of L.
 
     Every ingredient is computed by an independent route (loop integral,
     chord average, geometric loop action, orbit rotation number), so the
     identity_residual is a genuine check of the normal-form identities.
-    hessL uses two neighboring circles refit from perturbed seeds.
+
+    hessL = d(gradL)/dI is read off the fitted circle itself.  Let F_I be
+    the family of invariant circles by action, B(F_I(phi)) =
+    F_I(phi + alpha(I)) with alpha = -2*pi*omega, and write
+    d_I F = a F' + b N in the frame of _frame.  The pulled-back area form
+    b dphi ^ dI is invariant under phi -> phi + alpha and has mean 1 (the
+    enclosed area is 2*pi*I), so b = 1.  Area preservation splits
+    DB N(phi) = T(phi) F'(phi + alpha) + N(phi + alpha), and
+    differentiating the conjugacy in I gives
+    a(phi) - a(phi + alpha) + T(phi) = alpha'(I).  Averaged over phi,
+    hessL = 2*pi*omega'(I) = -alpha'(I) = -<T>.
     """
     I0 = _loop_action(circ, n_nodes)
     A_avg = _chord_average(curve, circ, n_nodes)
     gradL = TWO_PI * circ.omega.omega
     L0 = _geometric_L0(curve, circ)
-    hessL = None
-    if hess:
-        delta = hess_delta if hess_delta is not None else 1e-3 * (1.0 - abs(I0))
-        xi0 = circ.seed.xi
-        dxi = math.copysign(delta, xi0 if xi0 != 0.0 else 1.0)
-        samples = [(I0, gradL)]
-        for sign in (-1.0, 1.0):
-            nb = circle_conjugacy(curve, PhasePoint(circ.seed.s, xi0 + sign * dxi),
-                                  n_modes=circ.n_modes)
-            samples.append((_loop_action(nb, n_nodes), TWO_PI * nb.omega.omega))
-        (i0, g0), (im, gm), (ip, gp) = samples
-        hessL = (gm * (i0 - ip) / ((im - i0) * (im - ip))
-                 + g0 * (2.0 * i0 - im - ip) / ((i0 - im) * (i0 - ip))
-                 + gp * (i0 - im) / ((ip - im) * (ip - i0)))
+    hessL = -_mean_twist(curve, circ, n_nodes) if hess else None
     return ActionData(I0=I0, L0=L0, gradL=gradL, hessL=hessL, A_avg=A_avg,
                       omega=circ.omega)
 

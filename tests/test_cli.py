@@ -6,6 +6,7 @@ import pytest
 
 from spectral_billiards import cli
 from spectral_billiards.geometry import make_ellipse
+from test_tori import ellipse_hess_L
 
 TABLE = {"type": "liouville", "c": 1.0, "N": 1.0}
 
@@ -71,12 +72,12 @@ def test_rigidity_truncating_everything_exits_3(tmp_path, capsys):
     assert error_of(capsys) == "RankDeficient"
 
 
-def test_circle_fit_reaching_glancing_exits_3(tmp_path, capsys):
-    # the Hessian neighbour fit at this momentum extrapolates |xi| past 1
-    rc, _ = run(tmp_path, "circle", {"domain": {"type": "ellipse", "a": 1.6, "b": 1.0},
-                                     "xi0": 0.445})
-    assert rc == 3
-    assert error_of(capsys) == "FitDiverged"
+def test_circle_hess_matches_period_integral_oracle(tmp_path):
+    rc, out = run(tmp_path, "circle", {"domain": {"type": "ellipse", "a": 1.6, "b": 1.0},
+                                       "xi0": 0.445}, "csv")
+    assert rc == 0
+    action = json.loads((tmp_path / (out.name + ".action.json")).read_text())["action"]
+    assert action["hessL"] == pytest.approx(ellipse_hess_L(1.6, 1.0, 0.445), rel=1e-8)
 
 
 @pytest.mark.parametrize("alpha, error", [(3300.0, "TooFewIntervals"), (3500.0, "NoClusters")])

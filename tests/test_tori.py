@@ -2,20 +2,55 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from spectral_billiards.billiard import PhasePoint, billiard_map, orbit
 from spectral_billiards.disk import (disk_L, disk_circle, disk_grad_L,
                                      disk_hess_L)
-from spectral_billiards.errors import (HyperbolicPoint, NonCircleOrbit,
-                                       NonPeriodicOrbit, OrbitTooShort,
-                                       ResonantRotation)
-from spectral_billiards.tori import (action_data, circle_conjugacy,
-                                     diophantine_kappa,
+from spectral_billiards.errors import (FitDiverged, HyperbolicPoint,
+                                       NonCircleOrbit, NonPeriodicOrbit,
+                                       OrbitTooShort, ResonantRotation)
+from spectral_billiards.geometry import make_ellipse
+from spectral_billiards.tori import (InvariantCircle, RotationData,
+                                     _conjugacy_residual, action_data,
+                                     circle_conjugacy, diophantine_kappa,
                                      elliptic_fixed_point_data,
                                      liouville_integral, rotation_number,
                                      rotation_number_order_based)
 
 TWO_PI = 2.0 * math.pi
+
+
+def ellipse_hess_L(a: float, b: float, xi0: float) -> float:
+    """Oracle for hessL on the circle of the a x b ellipse through (s, xi) =
+    (0, xi0), from period integrals of its Liouville data f = c^2 sin^2 x,
+    q = -c^2 sinh^2 y, boundary y = N = atanh(b/a), level h = -b^2 xi0^2.
+
+    Both periods are Legendre forms: the Leray mass
+    int_0^{2pi} dx/sqrt(f - h) = 4 K(m)/sqrt(c^2 - h), m = c^2/(c^2 - h),
+    and the caustic time 2 int_{y_h}^N dy/sqrt(h - q) = 2 F(phi | m')/(c
+    sqrt(1 + u^2)) with u = sinh y_h = sqrt(-h)/c, phi = acos(u/sinh N),
+    m' = 1/(1 + u^2).  omega(h) = caustic time / Leray mass is the orbit
+    rotation number and dI/dh = -Leray mass/(4 pi); d omega/dh is a
+    five-point difference, and hessL = -2 pi d omega/dI.
+    """
+    c2 = a * a - b * b
+    sinh_n = b / math.sqrt(c2)
+
+    def leray(h):
+        return 4.0 * special.ellipk(c2 / (c2 - h)) / math.sqrt(c2 - h)
+
+    def omega(h):
+        u = math.sqrt(-h / c2)
+        caustic = (2.0 * special.ellipkinc(math.acos(u / sinh_n), 1.0 / (1.0 + u * u))
+                   / math.sqrt(c2 * (1.0 + u * u)))
+        return caustic / leray(h)
+
+    h = -(b * xi0) ** 2
+    dh = 2e-3 * abs(h)
+    w = [omega(h + k * dh) for k in (-2, -1, 1, 2)]
+    domega_dh = (w[0] - 8.0 * w[1] + 8.0 * w[2] - w[3]) / (12.0 * dh)
+    return float(-TWO_PI * domega_dh / (-leray(h) / (2.0 * TWO_PI)))
 
 
 # --- rotation numbers ---------------------------------------------------------
@@ -126,6 +161,17 @@ def test_fft_grid_matches_dense_sums(circle21, unit_circle, rng):
                 assert np.max(np.abs(xi - circ.xi_of_phi(phi))) < 1e-13
 
 
+def test_glancing_fit_rejected(ellipse21):
+    # xi(phi) = 0.5 + 0.75 cos(phi) reaches 1.25 at phi = 0
+    circ = InvariantCircle(omega=RotationData(-0.3, 0.0, "closed-form"),
+                           total_length=ellipse21.total_length,
+                           s_coeffs=np.zeros(3, dtype=complex),
+                           xi_coeffs=np.array([0.375, 0.5, 0.375], dtype=complex),
+                           residual=math.nan, seed=PhasePoint(0.0, 0.5), n_modes=1)
+    with pytest.raises(FitDiverged, match=r"reaches \|xi\| = 1\.25,"):
+        _conjugacy_residual(ellipse21, circ)
+
+
 def test_resonant_seed_rejected(unit_circle):
     with pytest.raises(ResonantRotation):
         circle_conjugacy(unit_circle, PhasePoint(0.0, 0.5), n_modes=16, n_fit=4096)
@@ -178,7 +224,7 @@ def test_disk_action_closed_forms(unit_circle, theta):
     assert ad.gradL == pytest.approx(disk_grad_L(I), abs=1e-12)
     assert ad.L0 == pytest.approx(disk_L(I), abs=1e-12)
     assert -ad.omega.omega == pytest.approx(theta / math.pi, abs=1e-12)
-    assert ad.hessL == pytest.approx(disk_hess_L(I), rel=1e-5)
+    assert ad.hessL == pytest.approx(disk_hess_L(I), rel=1e-9)
     assert abs(ad.identity_residual) < 1e-12
 
 
@@ -198,6 +244,14 @@ def test_ellipse_action_identity(ellipse21):
         ad = action_data(ellipse21, circ, hess=False)
         assert abs(ad.identity_residual) < 1e-8
         assert ad.A_avg > 0.0
+
+
+@pytest.mark.parametrize("a, b, xi0", [(2.0, 1.0, 0.45), (2.0, 1.0, 0.6), (1.6, 1.0, 0.445)])
+def test_ellipse_hess_against_period_integrals(a, b, xi0):
+    curve = make_ellipse(a, b)
+    circ = circle_conjugacy(curve, PhasePoint(0.0, xi0), n_modes=64)
+    ad = action_data(curve, circ, hess=True)
+    assert ad.hessL == pytest.approx(ellipse_hess_L(a, b, xi0), rel=1e-8)
 
 
 # --- elliptic periodic points ---------------------------------------------------

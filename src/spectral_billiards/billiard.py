@@ -91,7 +91,7 @@ class Orbit:
     """m bounces of the billiard map, stored as arrays.
 
     t and s are lifted (not reduced mod the period) so rotation numbers can
-    be read off; points() gives the modular view.
+    be read off; s_mod gives the modular view.
     """
     curve: BoundaryCurve
     t_lifted: np.ndarray
@@ -113,10 +113,6 @@ class Orbit:
     @property
     def total_geodesic_length(self) -> float:
         return float(self.lengths.sum())
-
-    def points(self) -> list[PhasePoint]:
-        smod = self.s_mod
-        return [PhasePoint(float(s), float(x)) for s, x in zip(smod, self.xi)]
 
     def positions(self) -> np.ndarray:
         x, y = self.curve.position_t(self.t_lifted % TWO_PI)
@@ -165,12 +161,11 @@ def chord_momenta(curve: BoundaryCurve, s: float, s_prime: float) -> tuple[float
     return dx * tx0 + dy * ty0, dx * tx1 + dy * ty1, ell
 
 
-def generating_residual(curve: BoundaryCurve, s: float, s_prime: float,
-                        fd_step: float = 1e-6) -> tuple[float, float]:
+def generating_residual(curve: BoundaryCurve, s: float, s_prime: float) -> tuple[float, float]:
     """Defect of the generating relations d(len)/ds = -xi, d(len)/ds' = xi',
     with the derivatives taken by central finite differences."""
     xi, xi_p, _ = chord_momenta(curve, s, s_prime)
-    h = fd_step * max(1.0, curve.total_length)
+    h = 1e-6 * max(1.0, curve.total_length)
 
     def ell(u, v):
         xa, ya = curve.position(u % curve.total_length)
@@ -219,16 +214,16 @@ def refine(evaluate, n0: int, tol: float, n_cap: int, what: str):
 
 
 def flowout_integral(curve: BoundaryCurve, circle, V,
-                     n_phi: int = 256, n_leg: int = 64, tol: float = 1e-9,
-                     max_doublings: int = 6) -> FlowoutResult:
+                     n_phi: int = 256, tol: float = 1e-9) -> FlowoutResult:
     """Integral of V over the flow-out of an invariant circle.
 
-    Chords issued from the circle are integrated in arclength with
+    Chords issued from the circle are integrated in arclength with 64
     Gauss-Legendre nodes and averaged against the circle's invariant
-    measure; the phi-grid is doubled until two successive values agree to
-    tol.  Also returns vol = average chord length.
+    measure; the phi-grid is doubled, at most six times, until two
+    successive values agree to tol.  Also returns vol = average chord
+    length.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_leg)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     u01 = 0.5 * (nodes + 1.0)
     w01 = 0.5 * weights
     volume = math.nan
@@ -238,7 +233,7 @@ def flowout_integral(curve: BoundaryCurve, circle, V,
         _, _, ell, t, t1 = billiard_map_many(curve, *circle.phase_nodes(n))
         x0, y0 = curve.position_t(t)
         x1, y1 = curve.position_t(t1)
-        # the n_leg points of each chord as one row of an (n, n_leg) array
+        # the 64 points of each chord as one row of an (n, 64) array
         px = x0[:, None] + (x1 - x0)[:, None] * u01
         py = y0[:, None] + (y1 - y0)[:, None] * u01
         vals = np.broadcast_to(np.asarray(V(px, py), dtype=float), px.shape)
@@ -246,6 +241,6 @@ def flowout_integral(curve: BoundaryCurve, circle, V,
         volume = float(np.mean(ell))
         return float(np.mean(ell * (vals @ w01)))
 
-    value, n, err = refine(evaluate, n_phi, tol, n_phi * 2 ** max_doublings,
+    value, n, err = refine(evaluate, n_phi, tol, n_phi * 2 ** 6,
                            "flow-out quadrature")
     return FlowoutResult(value=value, volume=volume, n_phi=n, est_error=err)

@@ -435,7 +435,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         _write_json(None, {"error": type(exc).__name__, "message": str(exc)})
         return 3
-    except (ValidationError, ValueError, KeyError, TypeError) as exc:
+    except (ValidationError, ValueError, KeyError, TypeError, OSError) as exc:
         _write_json(None, {"error": type(exc).__name__, "message": str(exc)})
         return 2
     except ToolkitError as exc:

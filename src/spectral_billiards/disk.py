@@ -26,11 +26,6 @@ MASLOV_THETA0 = 0
 MASLOV_THETA = 1
 
 
-def action_of_theta(theta: float, r: float = 1.0) -> float:
-    """I0 = r*cos(theta) for the circle of chord half-angle theta."""
-    return r * math.cos(theta)
-
-
 def disk_L(I: float, r: float = 1.0) -> float:
     """Loop action L(I) = 2(sqrt(r^2-I^2) - I*arccos(I/r))."""
     return 2.0 * (math.sqrt(r * r - I * I) - I * math.acos(I / r))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disk import MASLOV_THETA, MASLOV_THETA0, bessel_zero, ebk_eigenvalue
-from .errors import DegenerateAction, MissingJet, NonPositiveD
+from .errors import DegenerateAction, GlancingCircle, MissingJet, NonPositiveD
 from .geometry import TWO_PI
 from .tori import ActionData
 
@@ -72,6 +72,8 @@ class BirkhoffData:
              M: int = 2) -> "BirkhoffData":
         from .disk import disk_L, disk_grad_L, disk_hess_L, disk_third_L
         I0 = math.cos(theta)
+        if 1.0 - I0 * I0 <= 0.0:
+            raise GlancingCircle(f"disk circle at theta={theta!r} is glancing: cos(theta)^2 = 1")
         p = dict(birkhoff_p or {})
         if radon_value is not None:
             p[(0, 0)] = p.get((0, 0), 0.0) - 2j * radon_value

@@ -31,7 +31,6 @@ class BoundaryFunction:
 
     s_func: Callable
     x_func: Callable | None = None
-    smoothness: str | None = None
 
     def __call__(self, s):
         return self.s_func(s)
@@ -78,14 +77,12 @@ class BoundaryFunction:
 class SymmetryGroup:
     """The Z2 x Z2 boundary symmetry group of a two-axis table.
 
-    Elements act on the stated coordinate (arclength s with period L, or
-    the Liouville coordinate x with period 2*pi): identity, the two
+    Elements act on arclength u with period L: identity, the two
     reflections u -> -u and u -> half - u, and their composition, the
     half-period rotation.
     """
 
     period: float
-    coordinate: str = "arclength"
 
     def element_names(self) -> list[str]:
         return ["id", "reflect0", "reflect_half", "rotate_half"]
@@ -107,25 +104,16 @@ class SymmetryGroup:
 
     @classmethod
     def for_curve(cls, curve: BoundaryCurve) -> "SymmetryGroup":
-        return cls(period=curve.total_length, coordinate="arclength")
-
-    @classmethod
-    def liouville_x(cls) -> "SymmetryGroup":
-        return cls(period=TWO_PI, coordinate="liouville-x")
+        return cls(period=curve.total_length)
 
 
 def symmetry_average(K: BoundaryFunction, G: SymmetryGroup) -> BoundaryFunction:
     """Pointwise group average; a projection onto symmetric functions."""
     maps = G.maps()
 
-    if G.coordinate == "arclength":
-        def s_func(s):
-            return sum(K(g(s)) for g in maps) / 4.0
-        return BoundaryFunction(s_func=s_func, smoothness=K.smoothness)
-
-    def x_func(x):
-        return sum(K.in_x(g(x)) for g in maps) / 4.0
-    return BoundaryFunction(s_func=None, x_func=x_func, smoothness=K.smoothness)
+    def s_func(s):
+        return sum(K(g(s)) for g in maps) / 4.0
+    return BoundaryFunction(s_func=s_func)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +121,7 @@ def symmetry_average(K: BoundaryFunction, G: SymmetryGroup) -> BoundaryFunction:
 # ---------------------------------------------------------------------------
 
 def torus_invariant(curve: BoundaryCurve, circles, K: BoundaryFunction,
-                    n_nodes: int = 2048, tol: float = 1e-9,
-                    n_cap: int = 2 ** 17, eps_glance: float = 1e-6,
+                    tol: float = 1e-9, eps_glance: float = 1e-6,
                     full_output: bool = False):
     """sum_j int K(s)/sin(theta) dmu_j, by node-doubling quadrature.
 
@@ -153,7 +140,7 @@ def torus_invariant(curve: BoundaryCurve, circles, K: BoundaryFunction,
             total += float(np.dot(w, np.asarray(K(s), dtype=float) / sin_theta))
         return total
 
-    val, n, err = refine(evaluate, n_nodes, tol, n_cap, "circle average")
+    val, n, err = refine(evaluate, 2048, tol, 2 ** 17, "circle average")
     return (val, n, err) if full_output else val
 
 
@@ -267,8 +254,7 @@ class RadonPair:
 
 
 def liouville_radon(table: LiouvilleTable, K: BoundaryFunction, h: float,
-                    n_nodes: int = 2048, tol: float = 1e-9,
-                    n_cap: int = 2 ** 17) -> RadonPair:
+                    tol: float = 1e-9) -> RadonPair:
     """Closed-form Radon transform of K over the level circles at h.
 
     Rotational branch (q(N) < h < 0): the pair is (R, -R) for the two
@@ -289,18 +275,16 @@ def liouville_radon(table: LiouvilleTable, K: BoundaryFunction, h: float,
 
     if h < 0.0:
         circ = LerayCircle(table, h, "rotational")
-        val, n, err = refine(lambda n: evaluate(circ, n), n_nodes, tol, n_cap, "rotational Radon")
+        val, n, err = refine(lambda n: evaluate(circ, n), 2048, tol, 2 ** 17, "rotational Radon")
         return RadonPair(plus=val, minus=-val, n_nodes=n, est_error=err)
 
     lam1, lam2 = librational_circles(table, h)
-    n0 = max(64, n_nodes // 16)
-    v1, n1, e1 = refine(lambda n: evaluate(lam1, n), n0, tol, n_cap, "librational Radon")
-    v2, n2, e2 = refine(lambda n: evaluate(lam2, n), n0, tol, n_cap, "librational Radon")
+    v1, n1, e1 = refine(lambda n: evaluate(lam1, n), 128, tol, 2 ** 17, "librational Radon")
+    v2, n2, e2 = refine(lambda n: evaluate(lam2, n), 128, tol, 2 ** 17, "librational Radon")
     return RadonPair(plus=v1, minus=v2, n_nodes=max(n1, n2), est_error=max(e1, e2))
 
 
-def leray_mass(table: LiouvilleTable, h: float, n_nodes: int = 2048,
-               tol: float = 1e-9, n_cap: int = 2 ** 17) -> float:
+def leray_mass(table: LiouvilleTable, h: float) -> float:
     """Total Leray measure of one invariant circle at level h."""
     if table.q_N < h < 0.0:
         circ = LerayCircle(table, h, "rotational")
@@ -308,7 +292,7 @@ def leray_mass(table: LiouvilleTable, h: float, n_nodes: int = 2048,
         circ = librational_circles(table, h)[0]
     else:
         raise HOutOfRange(f"h={h} is not a regular value")
-    return refine(circ.mass, max(64, n_nodes // 16), tol, n_cap, "Leray mass")[0]
+    return refine(circ.mass, 128, 1e-9, 2 ** 17, "Leray mass")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +310,7 @@ def _hausdorff(curve: BoundaryCurve, set1, set2) -> float:
 
 
 def bouncing_ball_identity_check(curve: BoundaryCurve, lam1, lam2,
-                                 K: BoundaryFunction, G: SymmetryGroup,
-                                 n_nodes: int = 2048, exchange_tol: float = 1e-6) -> float:
+                                 K: BoundaryFunction, G: SymmetryGroup) -> float:
     """Residual of int_{L1} K#/sin dmu1 = (int_{L1} + int_{L2}) K/sin dmu /2.
 
     The circles must be the two components of one level set, each invariant
@@ -342,9 +325,9 @@ def bouncing_ball_identity_check(curve: BoundaryCurve, lam1, lam2,
     for name, gmap in zip(G.element_names()[1:], G.phase_maps()[1:]):
         gs, gx = gmap(s1, x1)
         if name.startswith("reflect"):
-            if _hausdorff(curve, (gs, gx), (s1, x1)) < exchange_tol:
+            if _hausdorff(curve, (gs, gx), (s1, x1)) < 1e-6:
                 fixed = True
-            if _hausdorff(curve, (gs, gx), (s2, x2)) < exchange_tol:
+            if _hausdorff(curve, (gs, gx), (s2, x2)) < 1e-6:
                 swapped = True
     if not (fixed and swapped):
         raise CirclesNotExchanged(
@@ -358,6 +341,6 @@ def bouncing_ball_identity_check(curve: BoundaryCurve, lam1, lam2,
 
     # deliberately different node counts: keeps the two sides independent
     # quadratures instead of a termwise-cancelling node permutation
-    lhs = average(lam1, K_sym, n_nodes)
-    rhs = 0.5 * (average(lam1, K, 3 * n_nodes // 2 + 1) + average(lam2, K, 3 * n_nodes // 2 + 1))
+    lhs = average(lam1, K_sym, 2048)
+    rhs = 0.5 * (average(lam1, K, 3073) + average(lam2, K, 3073))
     return abs(lhs - rhs)

@@ -83,38 +83,25 @@ def liouville_integral(curve: BoundaryCurve, s, xi):
     return (a * a - b * b) * sin2 - np.asarray(xi) ** 2 * speed2
 
 
-def _lift_increments(points, total_length: float) -> np.ndarray:
-    # forward lift, matching the (0, L) branch of the generating function
-    s = np.array([p.s for p in points])
-    return np.diff(s) % total_length
-
-
-def rotation_number(orb, total_length: float | None = None,
-                    invariant=None, tol_invariant: float = 1e-8) -> RotationData:
+def rotation_number(orb: Orbit, invariant=None) -> RotationData:
     """Rotation number of an orbit confined to one invariant circle.
 
     Weighted Birkhoff average of the lifted arclength increments; the
     error estimate comes from two half-sample estimates, and the method
     falls back to the order-based estimator if they disagree by > 1e-6.
+    If a conserved quantity invariant(s, xi) is given, it must hold along
+    the orbit to 1e-8 relative.
     """
-    if isinstance(orb, Orbit):
-        total_length = orb.curve.total_length
-        increments = np.diff(orb.s_lifted)
-        s0, xi0 = orb.s_mod, orb.xi
-    else:
-        if total_length is None:
-            raise ValueError("total_length is required for a raw point sequence")
-        increments = _lift_increments(orb, total_length)
-        s0 = np.array([p.s for p in orb])
-        xi0 = np.array([p.xi for p in orb])
+    total_length = orb.curve.total_length
+    increments = np.diff(orb.s_lifted)
     n = len(increments)
     if n < 1000:
         raise OrbitTooShort(f"need >= 1000 bounces, got {n}")
     if invariant is not None:
-        vals = np.asarray(invariant(s0, xi0), dtype=float)
+        vals = np.asarray(invariant(orb.s_mod, orb.xi), dtype=float)
         drift = np.max(np.abs(vals - vals[0]))
         scale = max(1.0, abs(float(vals[0])))
-        if drift > tol_invariant * scale:
+        if drift > 1e-8 * scale:
             raise NonCircleOrbit(f"conserved quantity drifts by {drift:.3e}")
 
     full = weighted_birkhoff_average(increments) / total_length
@@ -122,8 +109,7 @@ def rotation_number(orb, total_length: float | None = None,
     half2 = weighted_birkhoff_average(increments[n // 2:]) / total_length
     err = max(abs(full - half1), abs(full - half2))
     if err > 1e-6:
-        fallback = _order_based(np.concatenate([[0.0], np.cumsum(increments)]), total_length)
-        return RotationData(fallback.omega, fallback.error_estimate, "order-based")
+        return _order_based(np.concatenate([[0.0], np.cumsum(increments)]), total_length)
     return RotationData(full, err, "weighted-average")
 
 
@@ -137,16 +123,10 @@ def _order_based(s_lifted: np.ndarray, total_length: float) -> RotationData:
     return RotationData(p_best / n_best, err, "order-based")
 
 
-def rotation_number_order_based(orb, total_length: float | None = None) -> RotationData:
+def rotation_number_order_based(orb: Orbit) -> RotationData:
     """Best-return rational estimate p/q; the independent oracle for the
     weighted average (error ~ 1/q^2 along continued-fraction denominators)."""
-    if isinstance(orb, Orbit):
-        return _order_based(orb.s_lifted, orb.curve.total_length)
-    if total_length is None:
-        raise ValueError("total_length is required for a raw point sequence")
-    increments = _lift_increments(orb, total_length)
-    lifted = np.concatenate([[orb[0].s], orb[0].s + np.cumsum(increments)])
-    return _order_based(lifted, total_length)
+    return _order_based(orb.s_lifted, orb.curve.total_length)
 
 
 def diophantine_kappa(omega, tau: float, k_max: int) -> DiophantineWitness:
@@ -247,11 +227,6 @@ class InvariantCircle:
         phi = np.asarray(phi, dtype=float)
         return _eval_series(self.xi_coeffs, np.atleast_1d(phi)).reshape(phi.shape)
 
-    def sprime_of_phi(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        dcoef = _derivative(self.s_coeffs)
-        return (self.total_length / TWO_PI) + _eval_series(dcoef, np.atleast_1d(phi)).reshape(phi.shape)
-
     def phase_nodes(self, n: int = 1024):
         """Equal-weight nodes of the invariant probability measure."""
         return self.grid(n)[1:]
@@ -305,7 +280,9 @@ def _fit_coeffs(values: np.ndarray, phases: np.ndarray, n_modes: int,
     return coeffs
 
 
-def _conjugacy_residual(curve: BoundaryCurve, circ: InvariantCircle, n_check: int = 512) -> float:
+def _conjugacy_residual(curve: BoundaryCurve, circ: InvariantCircle, n_check: int = 512):
+    """(max residual, mean s-defect) of B(F(phi)) = F(phi + 2*pi*omega_orbit)
+    on a uniform n_check-grid, from one batched map call."""
     _, s, xi = circ.grid(n_check)
     xi_peak = float(np.max(np.abs(xi)))
     if xi_peak > 1.0 - EPS_GLANCE:
@@ -314,24 +291,24 @@ def _conjugacy_residual(curve: BoundaryCurve, circ: InvariantCircle, n_check: in
     s_img, xi_img, *_ = billiard_map_many(curve, s, xi)
     _, s_tgt, xi_tgt = circ.grid(n_check, TWO_PI * circ.omega_orbit)
     L = curve.total_length
-    ds = np.abs(((s_img - s_tgt + 0.5 * L) % L) - 0.5 * L)
-    return float(np.max(np.hypot(ds, xi_img - xi_tgt)))
+    ds = ((s_img - s_tgt + 0.5 * L) % L) - 0.5 * L
+    return float(np.max(np.hypot(ds, xi_img - xi_tgt))), float(np.mean(ds))
 
 
 def circle_conjugacy(curve: BoundaryCurve, seed: PhasePoint, n_modes: int = 64,
-                     n_fit: int = 8192, tol_conj: float = 1e-8,
-                     tau: float = 1.0, k_max: int = 50,
-                     max_refine: int = 4) -> InvariantCircle:
+                     n_fit: int = 8192, tol_conj: float = 1e-8) -> InvariantCircle:
     """Fit the Fourier conjugacy of the invariant circle through seed.
 
     One orbit supplies everything: the rotation number by weighted
-    Birkhoff averaging, the conjugacy coefficients by a weighted Fourier
-    projection at the equidistributed phases 2*pi*n*omega, and an
-    omega-polish loop driven by the mean conjugacy defect.
+    Birkhoff averaging, the conjugacy coefficients by spline
+    interpolation at the phases 2*pi*n*omega, and an omega-polish loop
+    driven by the mean conjugacy defect.  Each round costs one batched
+    map call; the loop refits while the residual falls and keeps the last
+    fit that lowered it.
     """
     orb = orbit(curve, seed, n_fit)
     rot = rotation_number(orb)
-    witness = diophantine_kappa(rot.omega % 1.0, tau, k_max)
+    witness = diophantine_kappa(rot.omega % 1.0, 1.0, 50)
     if witness.kappa_hat < 1e-8:
         raise ResonantRotation(
             f"rotation number {rot.omega % 1.0:.12f} is resonant: "
@@ -341,25 +318,23 @@ def circle_conjugacy(curve: BoundaryCurve, seed: PhasePoint, n_modes: int = 64,
     n_idx = np.arange(n_fit + 1)
     omega_orbit = rot.omega
     best = None
-    for _ in range(max_refine):
+    # the mean s-defect is linear in the omega error; each round returns,
+    # lowers the residual or ends the loop, and a polish too small to move
+    # omega repeats the fit exactly, so the residual cannot fall forever
+    while True:
         phases = TWO_PI * omega_orbit * n_idx
         g = orb.s_lifted - L * omega_orbit * n_idx
-        s_coeffs = _fit_coeffs(g, phases, n_modes)
-        xi_coeffs = _fit_coeffs(orb.xi, phases, n_modes)
         circ = InvariantCircle(
             omega=RotationData(-omega_orbit, rot.error_estimate, rot.method),
-            total_length=L, s_coeffs=s_coeffs, xi_coeffs=xi_coeffs,
+            total_length=L, s_coeffs=_fit_coeffs(g, phases, n_modes),
+            xi_coeffs=_fit_coeffs(orb.xi, phases, n_modes),
             residual=math.nan, seed=seed, n_modes=n_modes)
-        circ.residual = _conjugacy_residual(curve, circ)
-        if best is None or circ.residual < best.residual:
-            best = circ
+        circ.residual, defect = _conjugacy_residual(curve, circ)
+        if best is not None and not circ.residual < best.residual:
+            break
+        best = circ
         if circ.residual < tol_conj:
             return circ
-        # the mean s-defect is linear in the omega error; polish and refit
-        _, s, xi = circ.grid(256)
-        s_img, *_ = billiard_map_many(curve, s, xi)
-        s_tgt = circ.grid(256, TWO_PI * omega_orbit)[1]
-        defect = float(np.mean(((s_img - s_tgt + 0.5 * L) % L) - 0.5 * L))
         omega_orbit += defect / L
     if best.residual < 10.0 * tol_conj:
         return best
@@ -449,8 +424,7 @@ def _mean_twist(curve: BoundaryCurve, circ: InvariantCircle, n: int) -> float:
     return float(np.mean(dbn_s * txi - dbn_xi * ts))
 
 
-def action_data(curve: BoundaryCurve, circ: InvariantCircle,
-                n_nodes: int = 1024, hess: bool = True) -> ActionData:
+def action_data(curve: BoundaryCurve, circ: InvariantCircle, hess: bool = True) -> ActionData:
     """Action variable, loop action and normal-form derivatives of L.
 
     Every ingredient is computed by an independent route (loop integral,
@@ -468,11 +442,11 @@ def action_data(curve: BoundaryCurve, circ: InvariantCircle,
     a(phi) - a(phi + alpha) + T(phi) = alpha'(I).  Averaged over phi,
     hessL = 2*pi*omega'(I) = -alpha'(I) = -<T>.
     """
-    I0 = _loop_action(circ, n_nodes)
-    A_avg = _chord_average(curve, circ, n_nodes)
+    I0 = _loop_action(circ, 1024)
+    A_avg = _chord_average(curve, circ, 1024)
     gradL = TWO_PI * circ.omega.omega
     L0 = _geometric_L0(curve, circ)
-    hessL = -_mean_twist(curve, circ, n_nodes) if hess else None
+    hessL = -_mean_twist(curve, circ, 1024) if hess else None
     return ActionData(I0=I0, L0=L0, gradL=gradL, hessL=hessL, A_avg=A_avg,
                       omega=circ.omega)
 
@@ -490,10 +464,7 @@ class EllipticData:
     jacobian: np.ndarray = field(repr=False)
 
 
-def elliptic_fixed_point_data(curve: BoundaryCurve, periodic_orbit,
-                              tol_periodic: float = 1e-10,
-                              fd_step: float = 1e-6,
-                              resonance_tol: float = 1e-6) -> EllipticData:
+def elliptic_fixed_point_data(curve: BoundaryCurve, periodic_orbit) -> EllipticData:
     """Spectrum of the linearized return map at a periodic orbit.
 
     Differentiates B^m by central differences; classifies elliptic vs
@@ -509,9 +480,9 @@ def elliptic_fixed_point_data(curve: BoundaryCurve, periodic_orbit,
         q, _ = billiard_map(curve, q)
     L = curve.total_length
     gap = math.hypot(((q.s - p0.s + 0.5 * L) % L) - 0.5 * L, q.xi - p0.xi)
-    if gap > tol_periodic:
+    if gap > 1e-10:
         raise NonPeriodicOrbit(f"B^{m} moves the point by {gap:.3e}")
-    jac = map_jacobian(curve, p0, step=fd_step, iterations=m)
+    jac = map_jacobian(curve, p0, iterations=m)
     tr = float(np.trace(jac))
     tol_unit = 1e-6
     if abs(tr) > 2.0 + tol_unit:
@@ -521,6 +492,6 @@ def elliptic_fixed_point_data(curve: BoundaryCurve, periodic_orbit,
                             resonant_orders=(), jacobian=jac)
     alpha = math.acos(max(-1.0, min(1.0, tr / 2.0))) / TWO_PI
     resonant = tuple(k for k in range(1, 5)
-                     if abs(k * alpha - round(k * alpha)) < resonance_tol)
+                     if abs(k * alpha - round(k * alpha)) < 1e-6)
     return EllipticData(alphas=(alpha,), trace=tr, verdict="elliptic",
                         resonant_orders=resonant, jacobian=jac)

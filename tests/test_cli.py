@@ -72,6 +72,30 @@ def test_rigidity_truncating_everything_exits_3(tmp_path, capsys):
     assert error_of(capsys) == "RankDeficient"
 
 
+@pytest.mark.parametrize("theta", [0.0, 1e-300, math.pi])
+def test_quasimode_on_glancing_disk_circle_exits_2(tmp_path, capsys, theta):
+    rc, _ = run(tmp_path, "quasimode", {**CONFIGS["quasimode"][0], "disk_theta": theta}, "csv")
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "GlancingCircle"
+    assert "glancing" in report["message"]
+
+
+@pytest.mark.parametrize("where", ["spectrum", "h2_files"])
+def test_missing_input_file_exits_2(tmp_path, capsys, where):
+    missing = str(tmp_path / "missing.txt")
+    config = dict(CONFIGS["cluster"][0])
+    if where == "spectrum":
+        config["spectrum"] = {"file": missing, "dimension": 1}
+    else:
+        config["h2_files"] = [missing]
+    rc, _ = run(tmp_path, "cluster", config)
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "FileNotFoundError"
+    assert "missing.txt" in report["message"]
+
+
 def test_circle_hess_matches_period_integral_oracle(tmp_path):
     rc, out = run(tmp_path, "circle", {"domain": {"type": "ellipse", "a": 1.6, "b": 1.0},
                                        "xi0": 0.445}, "csv")

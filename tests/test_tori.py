@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from spectral_billiards.billiard import PhasePoint, billiard_map, orbit
+from spectral_billiards import tori
+from spectral_billiards.billiard import Orbit, PhasePoint, billiard_map_many, orbit
 from spectral_billiards.disk import (disk_L, disk_circle, disk_grad_L,
                                      disk_hess_L)
 from spectral_billiards.errors import (FitDiverged, HyperbolicPoint,
@@ -21,18 +22,18 @@ from spectral_billiards.tori import (InvariantCircle, RotationData,
 TWO_PI = 2.0 * math.pi
 
 
-def ellipse_hess_L(a: float, b: float, xi0: float) -> float:
-    """Oracle for hessL on the circle of the a x b ellipse through (s, xi) =
-    (0, xi0), from period integrals of its Liouville data f = c^2 sin^2 x,
-    q = -c^2 sinh^2 y, boundary y = N = atanh(b/a), level h = -b^2 xi0^2.
+def ellipse_periods(a: float, b: float):
+    """Period-integral oracles (leray(h), omega(h)) of the a x b ellipse,
+    from its Liouville data f = c^2 sin^2 x, q = -c^2 sinh^2 y, boundary
+    y = N = atanh(b/a); the circle through (s, xi) = (0, xi0) is the level
+    h = -b^2 xi0^2.
 
     Both periods are Legendre forms: the Leray mass
     int_0^{2pi} dx/sqrt(f - h) = 4 K(m)/sqrt(c^2 - h), m = c^2/(c^2 - h),
     and the caustic time 2 int_{y_h}^N dy/sqrt(h - q) = 2 F(phi | m')/(c
     sqrt(1 + u^2)) with u = sinh y_h = sqrt(-h)/c, phi = acos(u/sinh N),
     m' = 1/(1 + u^2).  omega(h) = caustic time / Leray mass is the orbit
-    rotation number and dI/dh = -Leray mass/(4 pi); d omega/dh is a
-    five-point difference, and hessL = -2 pi d omega/dI.
+    rotation number.
     """
     c2 = a * a - b * b
     sinh_n = b / math.sqrt(c2)
@@ -46,6 +47,15 @@ def ellipse_hess_L(a: float, b: float, xi0: float) -> float:
                    / math.sqrt(c2 * (1.0 + u * u)))
         return caustic / leray(h)
 
+    return leray, omega
+
+
+def ellipse_hess_L(a: float, b: float, xi0: float) -> float:
+    """Oracle for hessL on the circle of the a x b ellipse through (s, xi) =
+    (0, xi0): dI/dh = -Leray mass/(4 pi) and d omega/dh is a five-point
+    difference of ellipse_periods, and hessL = -2 pi d omega/dI.
+    """
+    leray, omega = ellipse_periods(a, b)
     h = -(b * xi0) ** 2
     dh = 2e-3 * abs(h)
     w = [omega(h + k * dh) for k in (-2, -1, 1, 2)]
@@ -83,16 +93,11 @@ def test_rotation_number_preconditions(unit_circle, ellipse21):
     # inconsistent points: two different caustics stitched together
     o1 = orbit(ellipse21, PhasePoint(0.0, 0.4), 600)
     o2 = orbit(ellipse21, PhasePoint(0.0, 0.6), 600)
-    pts = o1.points() + o2.points()
+    stitched = Orbit(curve=ellipse21, t_lifted=np.concatenate([o1.t_lifted, o2.t_lifted]),
+                     xi=np.concatenate([o1.xi, o2.xi]),
+                     lengths=np.concatenate([o1.lengths, o2.lengths]))
     with pytest.raises(NonCircleOrbit):
-        rotation_number(pts, total_length=ellipse21.total_length,
-                        invariant=lambda s, xi: liouville_integral(ellipse21, s, xi))
-
-
-def test_rotation_number_raw_sequence(unit_circle):
-    ob = orbit(unit_circle, PhasePoint(0.0, 0.5), 1200)
-    rd = rotation_number(ob.points(), total_length=unit_circle.total_length)
-    assert rd.omega % 1.0 == pytest.approx(1.0 / 3.0, abs=1e-12)
+        rotation_number(stitched, invariant=lambda s, xi: liouville_integral(ellipse21, s, xi))
 
 
 # --- Diophantine witnesses ------------------------------------------------------
@@ -180,18 +185,41 @@ def test_resonant_seed_rejected(unit_circle):
 def test_ellipse_conjugacy_pointwise(ellipse21):
     circ = circle_conjugacy(ellipse21, PhasePoint(0.0, 0.5), n_modes=64)
     assert circ.residual < 1e-8
-    # B(F(phi)) vs F(phi + 2*pi*omega_orbit) on a 512-grid, by hand
+    # B(F(phi)) vs F(phi + 2*pi*omega_orbit) on a 512-grid, from the dense sums
     L = ellipse21.total_length
     phi = TWO_PI * np.arange(512) / 512
-    s, xi = circ.s_of_phi(phi) % L, circ.xi_of_phi(phi)
-    worst = 0.0
-    for i in range(512):
-        q, _ = billiard_map(ellipse21, PhasePoint(float(s[i]), float(xi[i])))
-        tgt_s = float(circ.s_of_phi(phi[i] + TWO_PI * circ.omega_orbit)) % L
-        tgt_xi = float(circ.xi_of_phi(phi[i] + TWO_PI * circ.omega_orbit))
-        ds = abs(((q.s - tgt_s + 0.5 * L) % L) - 0.5 * L)
-        worst = max(worst, math.hypot(ds, q.xi - tgt_xi))
-    assert worst < 1e-8
+    s_img, xi_img, *_ = billiard_map_many(ellipse21, circ.s_of_phi(phi) % L, circ.xi_of_phi(phi))
+    tgt_s = circ.s_of_phi(phi + TWO_PI * circ.omega_orbit) % L
+    tgt_xi = circ.xi_of_phi(phi + TWO_PI * circ.omega_orbit)
+    ds = ((s_img - tgt_s + 0.5 * L) % L) - 0.5 * L
+    assert np.max(np.hypot(ds, xi_img - tgt_xi)) < 1e-8
+
+
+def test_fit_refits_while_residual_falls():
+    # (2, 1) at xi0 = 0.745: the residual falls by about 30% a round and
+    # reaches tolerance after 19 rounds
+    curve = make_ellipse(2.0, 1.0)
+    circ = circle_conjugacy(curve, PhasePoint(0.0, 0.745))
+    assert circ.residual < 1e-8
+    omega = ellipse_periods(2.0, 1.0)[1]
+    assert circ.omega_orbit == pytest.approx(omega(-0.745 ** 2), abs=1e-10)
+    ad = action_data(curve, circ, hess=True)
+    assert ad.hessL == pytest.approx(ellipse_hess_L(2.0, 1.0, 0.745), rel=1e-8)
+
+
+def test_fit_makes_one_map_call_per_round(monkeypatch):
+    # (1.6, 1) at xi0 = 0.345: the second round does not lower the residual,
+    # so the fit stops there and returns the first within 10x tolerance
+    sizes = []
+
+    def counting(curve, s, xi):
+        sizes.append(len(s))
+        return billiard_map_many(curve, s, xi)
+
+    monkeypatch.setattr(tori, "billiard_map_many", counting)
+    circ = circle_conjugacy(make_ellipse(1.6, 1.0), PhasePoint(0.0, 0.345))
+    assert sizes == [512, 512]
+    assert 1e-8 <= circ.residual < 1e-7
 
 
 def test_measure_invariance_under_map(ellipse21):
@@ -202,11 +230,7 @@ def test_measure_invariance_under_map(ellipse21):
         return np.cos(TWO_PI * sv / ellipse21.total_length) + 0.3 * xv ** 2
 
     direct = float(np.mean(g(s, xi)))
-    s2 = np.empty_like(s)
-    xi2 = np.empty_like(xi)
-    for i in range(len(s)):
-        q, _ = billiard_map(ellipse21, PhasePoint(float(s[i]), float(xi[i])))
-        s2[i], xi2[i] = q.s, q.xi
+    s2, xi2, *_ = billiard_map_many(ellipse21, s, xi)
     pushed = float(np.mean(g(s2, xi2)))
     assert pushed == pytest.approx(direct, abs=1e-9)
 

@@ -5,11 +5,11 @@ momentum, |xi| < 1.  The outgoing unit direction at (s, xi) is
 xi*T(s) + sqrt(1-xi^2)*nu(s).  The bounce itself lives on the curve:
 BoundaryCurve.step finds the next intersection with the boundary in the
 construction parameter t (closed-form quadratic for circles/ellipses,
-bracketed root solve for Fourier curves) to ~1e-12.  Batches of phase
+bracketed Newton solve for Fourier curves) to ~1e-12.  Batches of phase
 points go through billiard_map_many, which converts s <-> t once for the
-whole batch and bounces it with BoundaryCurve.step_many (array arithmetic
-on circles and ellipses, step per node on Fourier curves); billiard_map is
-its one-point view and orbit() calls the scalar step in t.
+whole batch and bounces it with BoundaryCurve.step_many, array arithmetic
+on every curve kind; billiard_map is its one-point view and orbit() calls
+the scalar step in t.
 The chord length is the generating function of the map:
 d(len)/ds = -xi, d(len)/ds' = xi'.
 """

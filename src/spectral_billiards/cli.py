@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import billiard, disk, geometry, quasi, radon, rigidity, spectra, tori, wiener
-from .errors import ConfigError, NumericalError, ToolkitError, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError
 
 
 def _fmt(x) -> str:
@@ -71,6 +71,8 @@ def _kernel(cfg: dict, curve=None) -> radon.BoundaryFunction:
     amp = float(cfg.get("amplitude", 1.0))
     if kind == "const":
         return radon.BoundaryFunction.constant(float(cfg.get("value", 1.0)))
+    if kind in ("cos_s", "sin_s") and curve is None:
+        raise ConfigError(f"kernel {kind!r} is a function of arclength and needs a curve domain")
     if kind == "cos_s":
         m = int(_require(cfg, "m", "kernel"))
         return radon.BoundaryFunction.trig(curve, cos_coeffs=[0.0] * (m - 1) + [amp])
@@ -438,9 +440,6 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError, KeyError, TypeError, OSError) as exc:
         _write_json(None, {"error": type(exc).__name__, "message": str(exc)})
         return 2
-    except ToolkitError as exc:
-        _write_json(None, {"error": type(exc).__name__, "message": str(exc)})
-        return 3
 
 
 if __name__ == "__main__":

@@ -27,10 +27,9 @@ class BoundaryCurve:
     """Closed convex planar curve with arclength parametrization.
 
     Subclasses supply the t-parametrization (``position_t`` and its two
-    derivatives) and the billiard bounce ``step``, whose array form
-    ``step_many`` defaults to a loop over it; this base class builds
-    total_length, s <-> t conversion and the s-parametrized geometry
-    accessors on top of it.
+    derivatives) and the billiard bounce, as ``step`` on one point and
+    ``step_many`` on arrays; this base class builds total_length, s <-> t
+    conversion and the s-parametrized geometry accessors on top of it.
     """
 
     kind = "generic"
@@ -107,10 +106,8 @@ class BoundaryCurve:
         raise NotImplementedError
 
     def step_many(self, t: np.ndarray, xi: np.ndarray):
-        """step on arrays of nodes, for billiard_map_many: returns the
-        arrays (t', xi', chord length).  This default calls step once per
-        node; circles and ellipses run their closed form on whole arrays."""
-        return np.array([self.step(float(tk), float(xik)) for tk, xik in zip(t, xi)]).T
+        """step on arrays of nodes: the arrays (t', xi', chord length)."""
+        raise NotImplementedError
 
     # s-parametrized accessors ------------------------------------------------
     def position(self, s):
@@ -212,15 +209,6 @@ class CircleCurve(BoundaryCurve):
     def param_of_arclength(self, s):
         return np.asarray(s, dtype=float) / self.r if np.ndim(s) else float(s) / self.r
 
-    def position(self, s):
-        t = np.asarray(s, dtype=float) / self.r
-        return self.r * np.cos(t), self.r * np.sin(t)
-
-    def curvature(self, s):
-        if np.ndim(s):
-            return np.full(np.shape(s), 1.0 / self.r)
-        return 1.0 / self.r
-
     def curvature_t(self, t):
         if np.ndim(t):
             return np.full(np.shape(t), 1.0 / self.r)
@@ -282,85 +270,88 @@ class FourierCurve(BoundaryCurve):
         pairs = coeffs[1:]
         if len(pairs) % 2:
             pairs = pairs + [0.0]
-        self._ak = np.array(pairs[0::2])
-        self._bk = np.array(pairs[1::2])
-        self._k = np.arange(1, len(self._ak) + 1)
-        if np.any(self.radius(2.0 * np.pi * np.arange(4096) / 4096) <= 0.0):
+        a, b = np.array(pairs[0::2]), np.array(pairs[1::2])
+        k = self._k = np.arange(1.0, len(a) + 1)
+        # cosine and sine coefficients of rho - rho0, rho' and rho''
+        self._jet = [(a, b), (k * b, -k * a), (-k**2 * a, -k**2 * b)]
+        rho_max = self._rho0 + np.abs(a).sum() + np.abs(b).sum()
+        # chord lengths on which step_many brackets the exit of each ray
+        self._sweep = np.concatenate([np.geomspace(1e-9 * rho_max, 0.1 * rho_max, 24),
+                                      np.linspace(0.1 * rho_max, 2.2 * rho_max, 160)])
+        if np.any(self.radius(2.0 * np.pi * np.arange(4096) / 4096)[0] <= 0.0):
             raise ValidationError("fourier radius must stay positive")
         super().__init__()
         if not self.is_convex():
             raise ValidationError("fourier curve is not convex; non-convex chambers are unsupported")
 
     def radius(self, t, order: int = 0):
-        t = np.asarray(t, dtype=float)
-        arg = np.outer(np.atleast_1d(t), self._k)
-        if order == 0:
-            val = self._rho0 + (np.cos(arg) * self._ak + np.sin(arg) * self._bk).sum(axis=-1)
-        elif order == 1:
-            val = (-np.sin(arg) * self._k * self._ak + np.cos(arg) * self._k * self._bk).sum(axis=-1)
-        elif order == 2:
-            val = (-np.cos(arg) * self._k**2 * self._ak - np.sin(arg) * self._k**2 * self._bk).sum(axis=-1)
-        else:
-            raise ValueError("order must be 0, 1 or 2")
-        return val.reshape(np.shape(t)) if np.ndim(t) else float(val[0])
+        """[rho, rho', ...] at t through the given derivative order (at most
+        2), all from one evaluation of the harmonics."""
+        arg = np.asarray(t, dtype=float)[..., None] * self._k
+        c, s = np.cos(arg), np.sin(arg)
+        jet = [np.add.reduce(c * a + s * b, axis=-1) for a, b in self._jet[:order + 1]]
+        jet[0] = self._rho0 + jet[0]
+        return jet
 
     def position_t(self, t):
-        t = np.asarray(t, dtype=float)
-        rho = self.radius(t)
+        rho, = self.radius(t)
         return rho * np.cos(t), rho * np.sin(t)
 
     def velocity_t(self, t):
-        t = np.asarray(t, dtype=float)
-        rho, drho = self.radius(t), self.radius(t, 1)
-        return drho * np.cos(t) - rho * np.sin(t), drho * np.sin(t) + rho * np.cos(t)
+        rho, drho = self.radius(t, 1)
+        c, s = np.cos(t), np.sin(t)
+        return drho * c - rho * s, drho * s + rho * c
 
     def acceleration_t(self, t):
-        t = np.asarray(t, dtype=float)
-        rho, d1, d2 = self.radius(t), self.radius(t, 1), self.radius(t, 2)
+        rho, d1, d2 = self.radius(t, 2)
         ax = (d2 - rho) * np.cos(t) - 2.0 * d1 * np.sin(t)
         ay = (d2 - rho) * np.sin(t) + 2.0 * d1 * np.cos(t)
         return ax, ay
 
     def step(self, t, xi):
-        """Angular-sweep bracket of the ray/boundary gap, then Brent
-        refinement."""
-        from scipy.optimize import brentq
+        """step_many on one point, returned as floats."""
+        return tuple(float(v[0]) for v in self.step_many(np.array([t], float), np.array([xi], float)))
 
+    def step_many(self, t, xi):
+        """Bracket each ray p0 + u d on a fixed sweep of u, then Newton on the
+        gap |p| - rho(arg p) from the secant point, bisecting when a step
+        leaves the bracket; each ray stops on its own."""
         x0, y0 = self.position_t(t)
         vx, vy = self.velocity_t(t)
-        sp = math.hypot(vx, vy)
-        tx, ty = vx / sp, vy / sp
-        eta = math.sqrt(max(0.0, 1.0 - xi * xi))
-        dx = xi * tx - eta * ty
-        dy = xi * ty + eta * tx
-
-        rho_max = self._rho0 + np.abs(self._ak).sum() + np.abs(self._bk).sum()
-
-        def gap(u):
-            px, py = x0 + u * dx, y0 + u * dy
-            return math.hypot(px, py) - self.radius(math.atan2(py, px))
-
-        u_hi = 2.2 * rho_max
-        grid = np.concatenate([np.geomspace(1e-9 * rho_max, 0.1 * rho_max, 24),
-                               np.linspace(0.1 * rho_max, u_hi, 160)])
-        px, py = x0 + grid * dx, y0 + grid * dy
-        g = np.hypot(px, py) - self.radius(np.arctan2(py, px))
-        # the first grid point outside the boundary after the first one inside
-        exits = (g > 0.0) & np.logical_or.accumulate(g <= 0.0)
-        if not exits.any():
+        sp = np.hypot(vx, vy)
+        eta = np.sqrt(np.maximum(0.0, 1.0 - xi * xi))
+        dx, dy = (xi * vx - eta * vy) / sp, (xi * vy + eta * vx) / sp
+        # along the ray, p.d = p0.d + u and p x d = p0 x d
+        pd0, pxd = x0 * dx + y0 * dy, x0 * dy - y0 * dx
+        px, py = x0[:, None] + self._sweep * dx[:, None], y0[:, None] + self._sweep * dy[:, None]
+        g = np.hypot(px, py) - self.radius(np.arctan2(py, px))[0]
+        # the first sweep point outside the boundary after the first one inside
+        exits = (g > 0.0) & np.logical_or.accumulate(g <= 0.0, axis=1)
+        j = np.argmax(exits, axis=1)
+        live = np.arange(len(j))
+        if not exits[live, j].all():
             raise NoTransversalHit("ray does not re-enter the boundary transversally")
-        j = int(np.argmax(exits))
-        try:
-            u_star = brentq(gap, float(grid[j - 1]), float(grid[j]),
-                            xtol=1e-14, rtol=8.9e-16, maxiter=200)
-        except (RuntimeError, ValueError) as exc:
-            raise NewtonDivergence(f"chord refinement failed: {exc}") from exc
-        x1, y1 = x0 + u_star * dx, y0 + u_star * dy
-        t1 = math.atan2(y1, x1) % TWO_PI
+        lo, hi = self._sweep[j - 1], self._sweep[j]
+        u = lo - g[live, j - 1] * (hi - lo) / (g[live, j] - g[live, j - 1])
+        for _ in range(100):
+            ul, lol, hil = u[live], lo[live], hi[live]
+            px, py = x0[live] + ul * dx[live], y0[live] + ul * dy[live]
+            r = np.hypot(px, py)
+            rho, drho = self.radius(np.arctan2(py, px), 1)
+            inside = r <= rho
+            lol, hil = np.where(inside, ul, lol), np.where(inside, hil, ul)
+            un = ul - (r - rho) / ((pd0[live] + ul) / r - drho * pxd[live] / r**2)
+            # the bracket is inclusive, so that an exact root stays put
+            un = np.where((un >= lol) & (un <= hil), un, 0.5 * (lol + hil))
+            u[live], lo[live], hi[live] = un, lol, hil
+            live = live[np.abs(un - ul) > 1e-14 + 8.9e-16 * np.abs(un)]
+            if not live.size:
+                break
+        else:
+            raise NewtonDivergence("chord refinement did not settle in 100 steps")
+        t1 = np.arctan2(y0 + u * dy, x0 + u * dx) % TWO_PI
         wx, wy = self.velocity_t(t1)
-        wsp = math.hypot(wx, wy)
-        xi1 = (dx * wx + dy * wy) / wsp
-        return t1, xi1, u_star
+        return t1, (dx * wx + dy * wy) / np.hypot(wx, wy), u
 
 
 def make_circle(r: float = 1.0) -> CircleCurve:

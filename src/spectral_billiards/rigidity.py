@@ -56,6 +56,8 @@ def radon_matrix(table: LiouvilleTable, h_grid, J: int,
         raise ValidationError("h grid must be strictly increasing")
     if not (np.all(h_grid > table.q_N) and np.all(h_grid < 0.0)):
         raise HOutOfRange("all h must be regular rotational values in (q(N), 0)")
+    if J < 1:
+        raise ValidationError(f"need at least one basis function, got J = {J}")
     if J > len(h_grid):
         raise ValidationError("need at least as many h values as basis functions")
     xs = np.linspace(0.0, 2.0 * math.pi, 129)

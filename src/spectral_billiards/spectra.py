@@ -106,8 +106,17 @@ def _endpoint(lam_j: float, c: float, d: float, side: int) -> float:
     def g(lam):
         return lam + side * 2.0 * c * lam ** (-d) - lam_j
     w = 2.0 * c * lam_j ** (-d)
-    lo, hi = lam_j - 2.5 * w, lam_j + 2.5 * w
-    return brentq(g, max(lo, 1e-9), hi, xtol=1e-14, rtol=8.9e-16)
+    lo, hi = max(lam_j - 2.5 * w, 1e-9), lam_j + 2.5 * w
+    if side > 0 and g(lo) > 0.0:
+        # lam + 2c lam^-d falls to its minimum at lam_min, then rises; the
+        # endpoint is the root on the rising branch, if there is one
+        lam_min = (2.0 * c * d) ** (1.0 / (d + 1.0))
+        floor = lam_min + 2.0 * c * lam_min ** (-d)
+        if lam_j < floor:
+            raise CutoffOutOfRange(f"eigenvalue {lam_j} is below {floor:.6g}, the minimum of "
+                                   "lam + 2c lam^-d; raise alpha above it")
+        lo = lam_min
+    return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def build_clusters(spec: Spectrum, c: float, d: float, alpha: float) -> IntervalClusterSet:

@@ -58,11 +58,6 @@ class TorusFunction:
         return cls({(k,): a, (-k,): a}, dim=1)
 
     @classmethod
-    def sine(cls, k: int, amplitude: float = 1.0) -> "TorusFunction":
-        a = amplitude / 2j
-        return cls({(k,): a, (-k,): -a}, dim=1)
-
-    @classmethod
     def random_real(cls, rng: np.random.Generator, max_k: int = 12,
                     zero_mean: bool = True, dim: int = 1) -> "TorusFunction":
         """Random real trig polynomial with coefficients ~ N(0,1)/(1+|k|)."""

@@ -96,6 +96,34 @@ def test_missing_input_file_exits_2(tmp_path, capsys, where):
     assert "missing.txt" in report["message"]
 
 
+@pytest.mark.parametrize("config", [{"table": TABLE, "h_grid": {"count": 6}, "J": 0},
+                                    {"table": TABLE, "h_grid": {"count": 6}, "J": -1},
+                                    {"table": TABLE, "h_grid": {"count": 0}}],
+                         ids=["J=0", "J=-1", "empty-h-grid"])
+def test_rigidity_without_basis_functions_exits_2(tmp_path, capsys, config):
+    rc, _ = run(tmp_path, "rigidity", config)
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "ValidationError"
+    assert "at least one basis function" in report["message"]
+
+
+@pytest.mark.parametrize("kind", ["cos_s", "sin_s"])
+def test_arclength_kernel_on_a_table_exits_2(tmp_path, capsys, kind):
+    rc, _ = run(tmp_path, "radon", {**CONFIGS["radon"][0], "kernel": {"type": kind, "m": 2}})
+    assert rc == 2
+    assert error_of(capsys) == "ConfigError"
+
+
+def test_cluster_eigenvalue_below_the_cutoff_curve_exits_2(tmp_path, capsys):
+    rc, _ = run(tmp_path, "cluster", {"spectrum": {"type": "squares"}, "c": 1.0, "d": 1.2,
+                                      "alpha": 1.0})
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "CutoffOutOfRange"
+    assert "eigenvalue 1.0" in report["message"]
+
+
 def test_circle_hess_matches_period_integral_oracle(tmp_path):
     rc, out = run(tmp_path, "circle", {"domain": {"type": "ellipse", "a": 1.6, "b": 1.0},
                                        "xi0": 0.445}, "csv")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from spectral_billiards.errors import ConfigError, ValidationError
 from spectral_billiards.geometry import (curve_from_spec, elliptic_table,
@@ -198,15 +199,77 @@ def test_horner_arclength_matches_dense_sum(curve):
     assert all(curve.arclength_of_param(float(v)) == got[i] for i, v in enumerate(t[:20]))
 
 
-@pytest.mark.parametrize("curve", [make_circle(1.3), make_ellipse(2.0, 1.0)],
-                         ids=["circle", "ellipse21"])
-def test_array_conic_step_matches_scalar_step(curve):
-    # numpy's and the C library's sin, cos and atan2 may round apart by an ulp
+FOURIER_TABLES = {"fourier005": [1.0, 0.0, 0.0, 0.05],
+                  "fourier003-001": [1.0, 0.0, 0.0, 0.03, 0.0, 0.0, 0.01]}
+
+
+@pytest.mark.parametrize("curve, tol", [(make_circle(1.3), 1e-14), (make_ellipse(2.0, 1.0), 1e-14)]
+                         + [(make_fourier(c), 0.0) for c in FOURIER_TABLES.values()],
+                         ids=["circle", "ellipse21", *FOURIER_TABLES])
+def test_array_conic_step_matches_scalar_step(curve, tol):
+    # numpy's and the C library's sin, cos and atan2 may round apart by an
+    # ulp on conics; a Fourier step is step_many on one point, bit for bit
     rng = np.random.default_rng(5)
     t = rng.uniform(0.0, 2.0 * math.pi, 1000)
     xi = rng.uniform(-0.99, 0.99, 1000)
     t1, xi1, ell = curve.step_many(t, xi)
     ref = np.array([curve.step(float(a), float(b)) for a, b in zip(t, xi)])
+    dt = (t1 - ref[:, 0] + math.pi) % (2.0 * math.pi) - math.pi
+    assert np.max(np.abs(dt)) <= tol
+    assert np.max(np.abs(xi1 - ref[:, 1])) <= tol
+    assert np.max(np.abs(ell - ref[:, 2])) <= tol
+
+
+def _brent_bounce(coeffs):
+    """Reference Fourier bounce (t, xi) -> (t', xi', chord length): Brent's
+    method on the radial gap of the ray.  By Blaschke's rolling theorem the
+    disk of radius 1/kappa_max tangent at the start lies inside the table,
+    so the ray is inside at half its chord of that disk, u = sqrt(1 - xi^2) /
+    kappa_max, and outside at u = 2.2 rho_max; in a star-shaped table the
+    gap is negative until the exit and positive after it."""
+    rho0, ab = coeffs[0], coeffs[1:] + [0.0] * (len(coeffs) % 2 == 0)
+    harmonics = [(k + 1, ab[2 * k], ab[2 * k + 1]) for k in range(len(ab) // 2)]
+
+    def rho(th, m=0):
+        return (rho0 if m == 0 else 0.0) + sum(
+            k ** m * (a * math.cos(k * th + m * math.pi / 2) + b * math.sin(k * th + m * math.pi / 2))
+            for k, a, b in harmonics)
+
+    def tangent(th):
+        vx = rho(th, 1) * math.cos(th) - rho(th) * math.sin(th)
+        vy = rho(th, 1) * math.sin(th) + rho(th) * math.cos(th)
+        return vx / math.hypot(vx, vy), vy / math.hypot(vx, vy)
+
+    kappa_max = max((rho(g) ** 2 + 2 * rho(g, 1) ** 2 - rho(g) * rho(g, 2))
+                    / (rho(g) ** 2 + rho(g, 1) ** 2) ** 1.5
+                    for g in np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
+    rho_max = rho0 + sum(abs(v) for v in ab)
+
+    def bounce(t, xi):
+        x0, y0 = rho(t) * math.cos(t), rho(t) * math.sin(t)
+        tx, ty = tangent(t)
+        eta = math.sqrt(1.0 - xi * xi)
+        dx, dy = xi * tx - eta * ty, xi * ty + eta * tx
+
+        def gap(u):
+            px, py = x0 + u * dx, y0 + u * dy
+            return math.hypot(px, py) - rho(math.atan2(py, px))
+
+        u = brentq(gap, eta / (1.01 * kappa_max), 2.2 * rho_max, xtol=1e-15, rtol=8.9e-16)
+        t1 = math.atan2(y0 + u * dy, x0 + u * dx) % (2.0 * math.pi)
+        wx, wy = tangent(t1)
+        return t1, dx * wx + dy * wy, u
+    return bounce
+
+
+@pytest.mark.parametrize("coeffs", FOURIER_TABLES.values(), ids=FOURIER_TABLES)
+def test_fourier_step_matches_brent_root_of_the_gap(coeffs):
+    rng = np.random.default_rng(17)
+    t = rng.uniform(0.0, 2.0 * math.pi, 512)
+    xi = rng.uniform(-0.95, 0.95, 512)
+    t1, xi1, ell = make_fourier(coeffs).step_many(t, xi)
+    bounce = _brent_bounce(coeffs)
+    ref = np.array([bounce(float(a), float(b)) for a, b in zip(t, xi)])
     dt = (t1 - ref[:, 0] + math.pi) % (2.0 * math.pi) - math.pi
     assert np.max(np.abs(dt)) <= 1e-14
     assert np.max(np.abs(xi1 - ref[:, 1])) <= 1e-14

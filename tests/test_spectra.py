@@ -103,6 +103,19 @@ def test_no_surviving_component_raises(squares):
         build_clusters(squares, c=1.0, d=1.0, alpha=3500.0)
 
 
+def test_cluster_endpoints_near_the_minimum_of_the_cutoff_curve():
+    # lam + 2 lam^-1.2 falls to its minimum 2.729 at lam = 1.489, then rises
+    tail = [float(j * j) for j in range(2, 61)]
+    with pytest.raises(CutoffOutOfRange, match="eigenvalue 1.0 is below 2.72938"):
+        build_clusters(Spectrum(np.array([1.0] + tail)), c=1.0, d=1.2, alpha=1.0)
+    # just above the minimum the usual bracket starts left of it, where the
+    # curve is above lam_j; the endpoint is the root on the rising branch
+    cs = build_clusters(Spectrum(np.array([2.74] + tail)), c=1.0, d=1.2, alpha=1.5)
+    lo = cs.raw_intervals[0, 0]
+    assert lo > 1.489
+    assert lo + 2.0 * lo ** -1.2 == pytest.approx(2.74, rel=1e-14)
+
+
 # --- locate -----------------------------------------------------------------------
 
 def _locate_loop(intervals, x, fatten):

@@ -13,8 +13,8 @@ from .quasi import (BirkhoffData, QuasiEigenvalue, disk_ebk_compare,
                     solve_recursion, system_determinant)
 from .radon import (BoundaryFunction, LerayCircle, RadonPair, SymmetryGroup,
                     bouncing_ball_identity_check, leray_mass,
-                    librational_circles, liouville_radon, rotational_circle,
-                    symmetry_average, torus_invariant)
+                    librational_circles, liouville_radon, rotation_function,
+                    rotational_circle, symmetry_average, torus_invariant)
 from .rigidity import (RadonMatrix, invert_radon, radon_matrix,
                        rotation_profile, symmetric_basis_function)
 from .spectra import (IntervalClusterSet, Spectrum, build_clusters,

@@ -19,16 +19,12 @@ from . import billiard, disk, geometry, quasi, radon, rigidity, spectra, tori, w
 from .errors import ConfigError, NumericalError, ValidationError
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _write_csv(path, header, rows):
+    """One line per row, from one % template: floats (numpy's included) with
+    17 significant digits, anything else by str."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % tuple(row)
+              for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -99,9 +95,8 @@ def cmd_map(cfg, out, fmt, nodes, tol):
     p = billiard.PhasePoint(float(cfg.get("s0", 0.0)), float(_require(cfg, "xi0", "map config")))
     orb = billiard.orbit(curve, p, m)
     xy = orb.positions()
-    smod = orb.s_mod
-    rows = [(i, smod[i], orb.xi[i], orb.lengths[i], xy[i, 0], xy[i, 1])
-            for i in range(m)]
+    rows = zip(range(m), orb.s_mod.tolist(), orb.xi.tolist(), orb.lengths.tolist(),
+               xy[:, 0].tolist(), xy[:, 1].tolist())
     if fmt == "json":
         _write_json(out, {"rows": [dict(zip(("bounce_index", "s", "xi", "chord_length", "x", "y"), r)) for r in rows],
                           "total_geodesic_length": orb.total_geodesic_length})
@@ -130,7 +125,8 @@ def cmd_circle(cfg, out, fmt, nodes, tol):
     n = nodes or 256
     phi, s, xi = circ.grid(n)
     ell = billiard.billiard_map_many(curve, s, xi)[2]
-    _write_csv(out, ["phi", "s", "xi", "chord_length"], zip(phi, s, xi, ell))
+    _write_csv(out, ["phi", "s", "xi", "chord_length"],
+               zip(phi.tolist(), s.tolist(), xi.tolist(), ell.tolist()))
     if out is not None:
         _write_json(str(out) + ".action.json", record)
     return 0

@@ -378,10 +378,10 @@ class LiouvilleTable:
     """Planar Liouville table data on the cylinder: metric (f(x)-q(y))(dx^2+dy^2).
 
     f and q are derivative evaluators: f(x, m) is the m-th derivative at x.
-    The Radon quadratures call f(x, 0) on numpy node arrays; liouville_validate
-    passes Python floats to f and q.  The quotient by the (x,y) -> (-x,-y)
-    involution is not modelled; all computations live in the cylinder
-    coordinates.
+    The Radon quadratures call f(x, 0) and the rotation function q(y, 1) on
+    numpy node arrays; liouville_validate passes Python floats to f and q.
+    The quotient by the (x,y) -> (-x,-y) involution is not modelled; all
+    computations live in the cylinder coordinates.
     """
 
     f: Callable[[float, int], float]
@@ -420,12 +420,12 @@ def _sin2_deriv(c2: float):
 
 def _neg_sinh2_deriv(c2: float):
     # -c2 * sinh(y)^2 = -c2*(cosh 2y - 1)/2 and its derivatives
-    def q(y: float, m: int = 0) -> float:
+    def q(y, m: int = 0):
         if m == 0:
-            return -c2 * math.sinh(y) ** 2
+            return -c2 * np.sinh(y) ** 2
         if m % 2 == 0:
-            return -0.5 * c2 * (2.0 ** m) * math.cosh(2.0 * y)
-        return -0.5 * c2 * (2.0 ** m) * math.sinh(2.0 * y)
+            return -0.5 * c2 * (2.0 ** m) * np.cosh(2.0 * y)
+        return -0.5 * c2 * (2.0 ** m) * np.sinh(2.0 * y)
     return q
 
 

@@ -9,6 +9,7 @@ leray_mass as the conversion factor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -293,6 +294,52 @@ def leray_mass(table: LiouvilleTable, h: float) -> float:
     else:
         raise HOutOfRange(f"h={h} is not a regular value")
     return refine(circ.mass, 128, 1e-9, 2 ** 17, "Leray mass")[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre01(n: int):
+    """n-point Gauss-Legendre nodes and weights on [0, 1], read-only since
+    every call shares them; n runs over 16 and the powers of two refine
+    visits, so the cache stays small."""
+    u, g = np.polynomial.legendre.leggauss(n)
+    u, g = 0.5 * (u + 1.0), 0.5 * g
+    u.flags.writeable = g.flags.writeable = False
+    return u, g
+
+
+def rotation_function(table: LiouvilleTable, h: float) -> tuple[float, float]:
+    """(omega, est_error): rotation number in (0, 1/2) of the rotational
+    level h, as the ratio of the two period integrals of the separated flow
+    (Kozlov & Treshchev, Billiards, AMS 1991):
+
+        omega(h) = 2 int_{y_h}^N dy / sqrt(h - q(y))  /  int_0^{2pi} dx / sqrt(f(x) - h),
+
+    with q(y_h) = h at the caustic.  With y = y_h + w^2 the caustic integral
+    is 4 int_0^{sqrt(N - y_h)} dw / sqrt(m(w)), where m(w) is the mean of
+    -q' over [y_h, y_h + w^2] from a fixed 16-point Gauss-Legendre rule:
+    h - q(y) = w^2 m(w) without the cancellation of the direct difference
+    near w = 0.  Both integrals run through refine to 1e-13, the caustic one
+    on Gauss-Legendre rules and the Leray one on the uniform x-grid.  Needs
+    only f and q, not a planar realization of the table.
+    """
+    from scipy.optimize import brentq
+    if not table.q_N < h < 0.0:
+        raise HOutOfRange(f"h={h} outside the rotational range ({table.q_N}, 0)")
+    y_h = brentq(lambda y: table.q(y, 0) - h, 0.0, table.N, xtol=1e-15)
+    top = math.sqrt(table.N - y_h)
+    u16, g16 = _legendre01(16)
+
+    def caustic(n):
+        u, g = _legendre01(n)
+        w = top * u
+        mean = -table.q(y_h + np.multiply.outer(w * w, u16), 1) @ g16
+        return 4.0 * top * float(np.dot(g, 1.0 / np.sqrt(mean)))
+
+    time_y, _, err_y = refine(caustic, 8, 1e-13, 2 ** 10, "caustic period")
+    circ = LerayCircle(table, h, "rotational")
+    time_x, _, err_x = refine(circ.mass, 128, 1e-13, 2 ** 17, "Leray mass")
+    omega = time_y / time_x
+    return omega, omega * (err_y / time_y + err_x / time_x)
 
 
 # ---------------------------------------------------------------------------

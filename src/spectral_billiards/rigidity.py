@@ -4,7 +4,10 @@ The forward operator maps symmetric boundary functions (the cos(2jx)
 basis, invariant under both reflections) to their Radon profiles over a
 grid of rotational levels h; injectivity at matrix scale is witnessed by
 the smallest singular value, and reconstruction uses a truncated SVD
-since the continuum problem is Abel-type and mildly ill-posed.
+since the continuum problem is Abel-type and mildly ill-posed.  The
+rotation profile omega(h) is the ratio of the two period integrals of the
+separated flow (radon.rotation_function), so no orbit is run and tables
+without a planar realization are served too.
 """
 
 from __future__ import annotations
@@ -14,11 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .billiard import PhasePoint, orbit
 from .errors import HOutOfRange, RankDeficient, ValidationError
 from .geometry import LiouvilleTable
-from .radon import BoundaryFunction, liouville_radon
-from .tori import rotation_number
+from .radon import BoundaryFunction, liouville_radon, rotation_function
 
 
 def symmetric_basis_function(j: int) -> BoundaryFunction:
@@ -107,20 +108,13 @@ def invert_radon(matrix: RadonMatrix, data, reg: float = 1e-10) -> InversionRepo
                            effective_rank=rank, retained_sigmas=S[keep])
 
 
-def rotation_profile(table: LiouvilleTable, h_grid, n_orbit: int = 4096) -> dict:
-    """Orbit-based rotation numbers omega(h) over a grid of rotational
-    levels, with a strict-monotonicity verdict (the rotation function is
-    strictly increasing near the boundary level q(N))."""
-    h_grid = np.asarray(h_grid, dtype=float)
-    if not (np.all(h_grid > table.q_N) and np.all(h_grid < 0.0)):
-        raise HOutOfRange("h grid must consist of rotational values in (q(N), 0)")
-    curve = table.boundary_curve()
-    rows = []
-    for h in h_grid:
-        xi0 = math.sqrt(h / table.q_N)
-        orb = orbit(curve, PhasePoint(0.0, xi0), n_orbit)
-        rot = rotation_number(orb)
-        rows.append((float(h), rot.omega % 1.0, rot.error_estimate))
+def rotation_profile(table: LiouvilleTable, h_grid) -> dict:
+    """Rotation numbers omega(h) over a grid of rotational levels, from the
+    period integrals of radon.rotation_function, with a strict-monotonicity
+    verdict (the rotation function is strictly increasing near the boundary
+    level q(N)).  Rows are (h, omega, quadrature error estimate)."""
+    rows = [(float(h), *rotation_function(table, float(h)))
+            for h in np.asarray(h_grid, dtype=float)]
     omegas = np.array([r[1] for r in rows])
     return {"rows": rows,
             "strictly_monotone": bool(np.all(np.diff(omegas) > 0.0))}

@@ -165,3 +165,19 @@ def test_cluster_json_with_h2_and_trap_blocks(tmp_path):
     records = {r["q_index"]: r for r in report["trap"]["records"]}
     assert records[0]["trapped"] and records[0]["bound_ok"] is True
     assert not records[1]["trapped"] and records[1]["jump_at"] == 1
+
+
+def test_csv_writer_text_for_every_value_kind(tmp_path):
+    # floats, numpy's included, get 17 significant digits; everything else str
+    rows = [(np.float64(2.0 / 3.0), 0.1, 3, np.int64(-7), True, "a b",
+             math.nan, math.inf, -0.0, 1e-300, 0.1 + 0.2),
+            (1.5, -math.inf, False, np.float64(1e22), "x", 0,
+             np.nan, 5e-324, 123456789.0, np.int64(0), 1.0 / 3.0)]
+    out = tmp_path / "rows.csv"
+    cli._write_csv(out, [f"c{i}" for i in range(11)], iter(rows))
+    assert out.read_text() == (
+        "c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10\n"
+        "0.66666666666666663,0.10000000000000001,3,-7,True,a b,nan,inf,-0,1e-300,"
+        "0.30000000000000004\n"
+        "1.5,-inf,False,1e+22,x,0,nan,4.9406564584124654e-324,123456789,0,"
+        "0.33333333333333331\n")

@@ -158,9 +158,12 @@ def test_domain_spec_strict_keys():
 def test_elliptic_table_f_on_arrays_matches_scalar_calls():
     table = elliptic_table(1.3, 0.8)
     x = np.linspace(-7.0, 7.0, 101)
+    y = np.linspace(-2.0, 2.0, 101)
     for m in range(5):
         scalar = np.array([table.f(float(v), m) for v in x])
         assert np.allclose(table.f(x, m), scalar, rtol=1e-15, atol=0.0)
+        scalar = np.array([table.q(float(v), m) for v in y])
+        assert np.allclose(table.q(y, m), scalar, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("curve", [make_ellipse(2.0, 1.0), make_ellipse(1.6, 1.0),

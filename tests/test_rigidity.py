@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
+from spectral_billiards.billiard import PhasePoint, orbit
 from spectral_billiards.errors import HOutOfRange, ValidationError
-from spectral_billiards.radon import BoundaryFunction, liouville_radon
+from spectral_billiards.geometry import LiouvilleTable, elliptic_table
+from spectral_billiards.radon import (BoundaryFunction, liouville_radon,
+                                      rotation_function)
 from spectral_billiards.rigidity import (invert_radon, radon_matrix,
                                          rotation_profile,
                                          symmetric_basis_function)
+from spectral_billiards.tori import rotation_number
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +114,7 @@ def test_profile_smoothness_surrogate(table_c1):
 
 def test_rotation_profile_monotone(table_c1):
     h = np.linspace(table_c1.q_N + 0.01, table_c1.q_N + 0.2, 10)
-    prof = rotation_profile(table_c1, h, n_orbit=4096)
+    prof = rotation_profile(table_c1, h)
     assert prof["strictly_monotone"]
     omegas = [r[1] for r in prof["rows"]]
     assert all(0.0 < w < 0.5 for w in omegas)
@@ -117,3 +123,56 @@ def test_rotation_profile_monotone(table_c1):
 def test_rotation_profile_out_of_range(table_c1):
     with pytest.raises(HOutOfRange):
         rotation_profile(table_c1, [table_c1.q_N - 0.1, -0.5])
+
+
+@pytest.mark.parametrize("c, N", [(1.0, 1.0), (1.5, 0.7)])
+@pytest.mark.parametrize("fraction", [0.8, 0.5, 0.2])
+def test_period_integral_omega_matches_orbit(c, N, fraction):
+    # the orbit from (0, xi0) with xi0^2 = h/q(N) lies on the level h
+    table = elliptic_table(c, N)
+    h = fraction * table.q_N
+    omega, err = rotation_function(table, h)
+    orb = orbit(table.boundary_curve(), PhasePoint(0.0, math.sqrt(fraction)), 4096)
+    assert abs(omega - rotation_number(orb).omega % 1.0) < 1e-11
+    assert 0.0 <= err < 1e-11
+
+
+def _cosine_series(coeffs):
+    """sum_k a_k cos(k x) in x and its image q(y) = sum_k a_k cosh(k y) under
+    x = iy, each with all derivatives in closed form."""
+    def f(x, m=0):
+        x = np.asarray(x, dtype=float)
+        return sum(a * k ** m * np.cos(k * x + 0.5 * math.pi * m) for k, a in coeffs)
+
+    def q(y, m=0):
+        y = np.asarray(y, dtype=float)
+        hyp = np.cosh if m % 2 == 0 else np.sinh
+        return sum(a * k ** m * hyp(k * y) for k, a in coeffs)
+    return f, q
+
+
+def test_rotation_profile_on_a_table_without_planar_realization():
+    # f = 0.55 - 0.5 cos 2x - 0.05 cos 4x, q(y) = f(iy): a Liouville table that
+    # is no ellipse, so the profile cannot come from a planar orbit
+    f, q = _cosine_series([(0, 0.55), (2, -0.5), (4, -0.05)])
+    table = LiouvilleTable(f=f, q=q, N=1.0, family="generic")
+    with pytest.raises(ValidationError):
+        table.boundary_curve()
+    h_grid = table.q_N * np.array([0.9, 0.7, 0.5, 0.3, 0.1])
+    prof = rotation_profile(table, h_grid)
+    assert prof["strictly_monotone"]
+    for (h, omega, err), h_in in zip(prof["rows"], h_grid):
+        assert h == h_in
+        # h - q(y_h + d) without cancellation, by
+        # cosh A - cosh B = 2 sinh((A+B)/2) sinh((A-B)/2)
+        y_h = brentq(lambda y: float(q(y)) - h, 0.0, 1.0, xtol=1e-15)
+
+        def gap(d):
+            return (math.sinh(2.0 * y_h + d) * math.sinh(d)
+                    + 0.1 * math.sinh(2.0 * (2.0 * y_h + d)) * math.sinh(2.0 * d))
+        caustic = quad(lambda w: 2.0 * w / math.sqrt(gap(w * w)), 0.0,
+                       math.sqrt(1.0 - y_h), epsabs=1e-14, epsrel=1e-13)[0]
+        leray = quad(lambda x: 1.0 / math.sqrt(float(f(x)) - h), 0.0, 2.0 * math.pi,
+                     epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        assert abs(omega - 2.0 * caustic / leray) < 1e-11
+        assert 0.0 <= err < 1e-11

@@ -5,17 +5,19 @@ momentum, |xi| < 1.  The outgoing unit direction at (s, xi) is
 xi*T(s) + sqrt(1-xi^2)*nu(s).  The bounce itself lives on the curve:
 BoundaryCurve.step finds the next intersection with the boundary in the
 construction parameter t (closed-form quadratic for circles/ellipses,
-bracketed Newton solve for Fourier curves) to ~1e-12.  Batches of phase
-points go through billiard_map_many, which converts s <-> t once for the
-whole batch and bounces it with BoundaryCurve.step_many, array arithmetic
-on every curve kind; billiard_map is its one-point view and orbit() calls
-the scalar step in t.
+Newton on plain floats inside the curvature bracket of Blaschke's rolling
+theorem for Fourier curves) to ~1e-12.  Batches of phase points go through
+billiard_map_many, which converts s <-> t once for the whole batch and
+bounces it with BoundaryCurve.step_many: array arithmetic on conics, the
+scalar step mapped over the nodes on Fourier curves.  billiard_map is its
+one-point view and orbit() calls the scalar step in t.
 The chord length is the generating function of the map:
 d(len)/ds = -xi, d(len)/ds' = xi'.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -200,17 +202,30 @@ class FlowoutResult:
 
 def refine(evaluate, n0: int, tol: float, n_cap: int, what: str):
     """Double n from n0 until successive evaluate(n) agree to tol, relative
-    above 1 and absolute below; returns (value, n, est_error).  Raises
-    QuadratureNonConvergence naming `what` once n reaches n_cap."""
+    above 1 and absolute below; returns (value, n, est_error), est_error the
+    last difference but at least 4 ulps of the value, since two sums that
+    agree bit for bit still carry rounding.  Raises QuadratureNonConvergence
+    naming `what` once n reaches n_cap."""
     prev = evaluate(n0)
     n = n0
     while n < n_cap:
         n *= 2
         cur = evaluate(n)
         if abs(cur - prev) < tol * max(1.0, abs(cur)):
-            return cur, n, abs(cur - prev)
+            return cur, n, max(abs(cur - prev), 4.0 * math.ulp(cur))
         prev = cur
     raise QuadratureNonConvergence(f"{what} did not settle at {n} nodes")
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre01(n: int):
+    """n-point Gauss-Legendre nodes and weights on [0, 1], read-only since
+    every call shares them; n runs over 16, 64 and the powers of two refine
+    visits, so the cache stays small."""
+    u, g = np.polynomial.legendre.leggauss(n)
+    u, g = 0.5 * (u + 1.0), 0.5 * g
+    u.flags.writeable = g.flags.writeable = False
+    return u, g
 
 
 def flowout_integral(curve: BoundaryCurve, circle, V,
@@ -223,9 +238,7 @@ def flowout_integral(curve: BoundaryCurve, circle, V,
     successive values agree to tol.  Also returns vol = average chord
     length.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    u01 = 0.5 * (nodes + 1.0)
-    w01 = 0.5 * weights
+    u01, w01 = _legendre01(64)
     volume = math.nan
 
     def evaluate(n):

@@ -106,8 +106,10 @@ class BoundaryCurve:
         raise NotImplementedError
 
     def step_many(self, t: np.ndarray, xi: np.ndarray):
-        """step on arrays of nodes: the arrays (t', xi', chord length)."""
-        raise NotImplementedError
+        """step on arrays of nodes, the arrays (t', xi', chord length): by
+        default step mapped over them, so equal to one-point calls bit for bit."""
+        out = [self.step(a, b) for a, b in zip(np.asarray(t, float).tolist(), np.asarray(xi, float).tolist())]
+        return tuple(np.array(out, dtype=float).reshape(-1, 3).T)
 
     # s-parametrized accessors ------------------------------------------------
     def position(self, s):
@@ -267,91 +269,88 @@ class FourierCurve(BoundaryCurve):
             raise ValidationError("fourier curve needs a positive mean radius")
         self.coeffs = coeffs
         self._rho0 = coeffs[0]
-        pairs = coeffs[1:]
-        if len(pairs) % 2:
-            pairs = pairs + [0.0]
-        a, b = np.array(pairs[0::2]), np.array(pairs[1::2])
-        k = self._k = np.arange(1.0, len(a) + 1)
-        # cosine and sine coefficients of rho - rho0, rho' and rho''
-        self._jet = [(a, b), (k * b, -k * a), (-k**2 * a, -k**2 * b)]
-        rho_max = self._rho0 + np.abs(a).sum() + np.abs(b).sum()
-        # chord lengths on which step_many brackets the exit of each ray
-        self._sweep = np.concatenate([np.geomspace(1e-9 * rho_max, 0.1 * rho_max, 24),
-                                      np.linspace(0.1 * rho_max, 2.2 * rho_max, 160)])
-        if np.any(self.radius(2.0 * np.pi * np.arange(4096) / 4096)[0] <= 0.0):
+        ab = np.array(coeffs[1:] + [0.0] * (len(coeffs) % 2 == 0))   # a1, b1, a2, b2, ...
+        # rho - rho0, rho', rho'' = Re P, Re(i z P'), Re((i z d/dz)^2 P) at z = e^{it},
+        # P(z) = sum_k (a_k - i b_k) z^k; Horner wants the top coefficient first
+        c, k = (ab[0::2] - 1j * ab[1::2])[::-1], np.arange(len(ab) // 2, 0, -1)
+        self._horner, self._c2 = list(zip(c.tolist(), (k * c).tolist())), k * k * c
+        t = 2.0 * np.pi * np.arange(4096) / 4096
+        if np.any(self._jet(np.exp(1j * t))[0] <= 0.0):
             raise ValidationError("fourier radius must stay positive")
         super().__init__()
-        if not self.is_convex():
+        kappa = self.curvature_t(t)
+        if not np.all(kappa > 0.0):
             raise ValidationError("fourier curve is not convex; non-convex chambers are unsupported")
+        self._kappa_min, self._kappa_max = float(kappa.min()), float(kappa.max())
 
-    def radius(self, t, order: int = 0):
-        """[rho, rho', ...] at t through the given derivative order (at most
-        2), all from one evaluation of the harmonics."""
-        arg = np.asarray(t, dtype=float)[..., None] * self._k
-        c, s = np.cos(arg), np.sin(arg)
-        jet = [np.add.reduce(c * a + s * b, axis=-1) for a, b in self._jet[:order + 1]]
-        jet[0] = self._rho0 + jet[0]
-        return jet
+    def _jet(self, z):
+        """(rho, rho') at the angles of unit complex z, by Horner's rule."""
+        p = p1 = 0j
+        for c, c1 in self._horner:
+            p, p1 = (p + c) * z, (p1 + c1) * z
+        return self._rho0 + p.real, -p1.imag
 
     def position_t(self, t):
-        rho, = self.radius(t)
-        return rho * np.cos(t), rho * np.sin(t)
+        z = np.exp(1j * np.asarray(t, dtype=float))
+        p = self._jet(z)[0] * z
+        return p.real, p.imag
 
     def velocity_t(self, t):
-        rho, drho = self.radius(t, 1)
-        c, s = np.cos(t), np.sin(t)
-        return drho * c - rho * s, drho * s + rho * c
+        z = np.exp(1j * np.asarray(t, dtype=float))
+        rho, d1 = self._jet(z)
+        v = (d1 + 1j * rho) * z
+        return v.real, v.imag
 
     def acceleration_t(self, t):
-        rho, d1, d2 = self.radius(t, 2)
-        ax = (d2 - rho) * np.cos(t) - 2.0 * d1 * np.sin(t)
-        ay = (d2 - rho) * np.sin(t) + 2.0 * d1 * np.cos(t)
-        return ax, ay
+        z = np.exp(1j * np.asarray(t, dtype=float))
+        rho, d1 = self._jet(z)
+        d2 = -(z * np.polyval(self._c2, z)).real
+        acc = (d2 - rho + 2j * d1) * z
+        return acc.real, acc.imag
 
     def step(self, t, xi):
-        """step_many on one point, returned as floats."""
-        return tuple(float(v[0]) for v in self.step_many(np.array([t], float), np.array([xi], float)))
-
-    def step_many(self, t, xi):
-        """Bracket each ray p0 + u d on a fixed sweep of u, then Newton on the
-        gap |p| - rho(arg p) from the secant point, bisecting when a step
-        leaves the bracket; each ray stops on its own."""
-        x0, y0 = self.position_t(t)
-        vx, vy = self.velocity_t(t)
-        sp = np.hypot(vx, vy)
-        eta = np.sqrt(np.maximum(0.0, 1.0 - xi * xi))
-        dx, dy = (xi * vx - eta * vy) / sp, (xi * vy + eta * vx) / sp
+        """Newton on the radial gap g(u) = |p| - rho(arg p) of the ray p0 + u d,
+        points as complex numbers.  The disks of radius 1/kappa_max and
+        1/kappa_min tangent at p0 lie in and around the table (Blaschke), so
+        the chord u is 2 eta/kappa for a kappa between them: Newton starts at
+        2 eta L/2pi and bisects out of [eta/1.01 kappa_max, 2.02 eta/kappa_min]."""
+        eta = math.sqrt(max(0.0, 1.0 - xi * xi))
+        if not eta > 0.0:
+            raise NoTransversalHit(f"ray at xi = {xi} does not enter the table")
+        z = complex(math.cos(t), math.sin(t))
+        rho, drho = self._jet(z)
+        p0, v = rho * z, (drho + 1j * rho) * z
+        d = (xi + 1j * eta) * v / abs(v)
         # along the ray, p.d = p0.d + u and p x d = p0 x d
-        pd0, pxd = x0 * dx + y0 * dy, x0 * dy - y0 * dx
-        px, py = x0[:, None] + self._sweep * dx[:, None], y0[:, None] + self._sweep * dy[:, None]
-        g = np.hypot(px, py) - self.radius(np.arctan2(py, px))[0]
-        # the first sweep point outside the boundary after the first one inside
-        exits = (g > 0.0) & np.logical_or.accumulate(g <= 0.0, axis=1)
-        j = np.argmax(exits, axis=1)
-        live = np.arange(len(j))
-        if not exits[live, j].all():
-            raise NoTransversalHit("ray does not re-enter the boundary transversally")
-        lo, hi = self._sweep[j - 1], self._sweep[j]
-        u = lo - g[live, j - 1] * (hi - lo) / (g[live, j] - g[live, j - 1])
+        pd0, pxd = (p0 * d.conjugate()).real, (p0.conjugate() * d).imag
+
+        def gap(u):
+            p = p0 + u * d
+            r = abs(p)
+            rho, drho = self._jet(p / r)
+            return r - rho, (pd0 + u - drho * pxd / r) / r
+
+        lo, hi = eta / (1.01 * self._kappa_max), 2.02 * eta / self._kappa_min
+        if not gap(lo)[0] <= 0.0 < gap(hi)[0]:
+            raise NoTransversalHit(f"ray at t = {t}, xi = {xi} does not leave the table transversally")
+        u = min(max(eta * float(self.total_length) / math.pi, lo), hi)
         for _ in range(100):
-            ul, lol, hil = u[live], lo[live], hi[live]
-            px, py = x0[live] + ul * dx[live], y0[live] + ul * dy[live]
-            r = np.hypot(px, py)
-            rho, drho = self.radius(np.arctan2(py, px), 1)
-            inside = r <= rho
-            lol, hil = np.where(inside, ul, lol), np.where(inside, hil, ul)
-            un = ul - (r - rho) / ((pd0[live] + ul) / r - drho * pxd[live] / r**2)
+            g, dg = gap(u)
+            lo, hi = (u, hi) if g <= 0.0 else (lo, u)
+            un = u - g / dg if dg else math.nan
             # the bracket is inclusive, so that an exact root stays put
-            un = np.where((un >= lol) & (un <= hil), un, 0.5 * (lol + hil))
-            u[live], lo[live], hi[live] = un, lol, hil
-            live = live[np.abs(un - ul) > 1e-14 + 8.9e-16 * np.abs(un)]
-            if not live.size:
+            if not lo <= un <= hi:
+                un = 0.5 * (lo + hi)
+            u, du = un, un - u
+            if abs(du) <= 1e-14 + 8.9e-16 * abs(u):
                 break
         else:
             raise NewtonDivergence("chord refinement did not settle in 100 steps")
-        t1 = np.arctan2(y0 + u * dy, x0 + u * dx) % TWO_PI
-        wx, wy = self.velocity_t(t1)
-        return t1, (dx * wx + dy * wy) / np.hypot(wx, wy), u
+        p = p0 + u * d
+        z = p / abs(p)
+        rho, drho = self._jet(z)
+        w = (drho + 1j * rho) * z
+        return math.atan2(p.imag, p.real) % TWO_PI, (d * w.conjugate()).real / abs(w), u
 
 
 def make_circle(r: float = 1.0) -> CircleCurve:

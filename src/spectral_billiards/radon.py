@@ -9,14 +9,13 @@ leray_mass as the conversion factor.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .billiard import refine
+from .billiard import _legendre01, refine
 from .errors import CirclesNotExchanged, GlancingCircle, HOutOfRange
 from .geometry import TWO_PI, BoundaryCurve, LiouvilleTable
 
@@ -294,17 +293,6 @@ def leray_mass(table: LiouvilleTable, h: float) -> float:
     else:
         raise HOutOfRange(f"h={h} is not a regular value")
     return refine(circ.mass, 128, 1e-9, 2 ** 17, "Leray mass")[0]
-
-
-@functools.lru_cache(maxsize=None)
-def _legendre01(n: int):
-    """n-point Gauss-Legendre nodes and weights on [0, 1], read-only since
-    every call shares them; n runs over 16 and the powers of two refine
-    visits, so the cache stays small."""
-    u, g = np.polynomial.legendre.leggauss(n)
-    u, g = 0.5 * (u + 1.0), 0.5 * g
-    u.flags.writeable = g.flags.writeable = False
-    return u, g
 
 
 def rotation_function(table: LiouvilleTable, h: float) -> tuple[float, float]:

@@ -25,10 +25,18 @@ def fourier005():
     return make_fourier([1.0, 0.0, 0.0, 0.05])
 
 
-@pytest.fixture(scope="session", params=["circle", "ellipse", "fourier"])
+@pytest.fixture(scope="session")
+def fourier003_001():
+    """Non-integrable convex table rho(t) = 1 + 0.03 cos(2t) + 0.01 sin(3t)."""
+    return make_fourier([1.0, 0.0, 0.0, 0.03, 0.0, 0.0, 0.01])
+
+
+@pytest.fixture(scope="session", params=["circle", "ellipse", "fourier", "fourier003-001"])
 def any_curve(request):
-    """One table of each curve kind, each with its own bounce step."""
-    name = {"circle": "unit_circle", "ellipse": "ellipse21", "fourier": "fourier005"}
+    """One table of each curve kind, each with its own bounce step, and a
+    second Fourier table with two harmonics."""
+    name = {"circle": "unit_circle", "ellipse": "ellipse21", "fourier": "fourier005",
+            "fourier003-001": "fourier003_001"}
     return request.getfixturevalue(name[request.param])
 
 

@@ -179,6 +179,13 @@ def test_refine_stops_at_first_agreeing_doubling():
     assert err == pytest.approx(1.0 / 32 ** 4 - 1.0 / 64 ** 4, rel=1e-9)
 
 
+def test_refine_error_estimate_is_never_zero_for_a_nonzero_value():
+    # successive sums that agree bit for bit still carry their rounding
+    value, n, err = refine(lambda n: 0.1, 8, 1e-9, 64, "constant sum")
+    assert (value, n) == (0.1, 16)
+    assert err == 4.0 * math.ulp(0.1)
+
+
 def test_refine_names_its_quantity_when_it_does_not_settle():
     with pytest.raises(QuadratureNonConvergence, match="test sum did not settle at 64 nodes"):
         refine(lambda n: float(n), 8, 1e-9, 64, "test sum")

@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from spectral_billiards.errors import ConfigError, ValidationError
+from spectral_billiards.billiard import PhasePoint, orbit
+from spectral_billiards.errors import (ConfigError, NoTransversalHit,
+                                       ValidationError)
 from spectral_billiards.geometry import (curve_from_spec, elliptic_table,
                                          liouville_validate, make_circle,
                                          make_ellipse, make_fourier,
@@ -277,3 +279,57 @@ def test_fourier_step_matches_brent_root_of_the_gap(coeffs):
     assert np.max(np.abs(dt)) <= 1e-14
     assert np.max(np.abs(xi1 - ref[:, 1])) <= 1e-14
     assert np.max(np.abs(ell - ref[:, 2])) <= 1e-14
+
+
+def _orbit_steps(curve, p, m):
+    """orbit(curve, p, m) with every call of curve.step recorded as a row
+    (t, xi, t', xi', chord length), so that each bounce can be re-run from
+    the orbit's own (t, xi)."""
+    rows, step = [], curve.step
+    curve.step = lambda t, xi: rows.append((t, xi, *step(t, xi))) or rows[-1][2:]
+    try:
+        orbit(curve, p, m)
+    finally:
+        del curve.step
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("coeffs", FOURIER_TABLES.values(), ids=FOURIER_TABLES)
+def test_fourier_orbit_matches_brent_bounce_for_bounce(coeffs):
+    rows = _orbit_steps(make_fourier(coeffs), PhasePoint(0.3, 0.45), 300)
+    assert len(rows) == 300
+    bounce = _brent_bounce(coeffs)
+    ref = np.array([bounce(t, xi) for t, xi in rows[:, :2].tolist()])
+    dt = (rows[:, 2] - ref[:, 0] + math.pi) % (2.0 * math.pi) - math.pi
+    assert np.max(np.abs(dt)) <= 1e-14
+    assert np.max(np.abs(rows[:, 3] - ref[:, 1])) <= 1e-14
+    assert np.max(np.abs(rows[:, 4] - ref[:, 2])) <= 1e-14
+
+
+def test_fourier_bracket_scales_with_the_radius():
+    # on a circle of radius 1.3 the bracket and the Newton start both scale
+    # by 1.3, so the series table must bounce like the exact circle
+    fourier = make_fourier([1.3])
+    rows = _orbit_steps(make_circle(1.3), PhasePoint(0.4, 0.6), 300)
+    got = np.array([fourier.step(t, xi) for t, xi in rows[:, :2].tolist()])
+    dt = (got[:, 0] - rows[:, 2] + math.pi) % (2.0 * math.pi) - math.pi
+    assert np.max(np.abs(dt)) <= 1e-13
+    assert np.max(np.abs(got[:, 1:] - rows[:, 3:])) <= 1e-13
+
+
+@pytest.mark.parametrize("xi", [1.0, -1.0, 1.5])
+def test_fourier_step_without_transversal_exit_raises_typed_error(xi):
+    curve = make_fourier(FOURIER_TABLES["fourier003-001"])
+    with pytest.raises(NoTransversalHit):
+        curve.step(0.7, xi)
+    with pytest.raises(NoTransversalHit):
+        curve.step_many(np.array([0.1, 0.7, 2.0]), np.array([0.2, xi, -0.3]))
+
+
+def test_orbit_reraises_wrong_bracket_with_bounce_index():
+    # curvature bounds far above the table's put the whole bracket inside
+    # it: the sign check at the bracket ends must refuse the ray
+    curve = make_fourier(FOURIER_TABLES["fourier005"])
+    curve._kappa_min = curve._kappa_max = 100.0
+    with pytest.raises(NoTransversalHit, match=r"^bounce 0: ray at t = "):
+        orbit(curve, PhasePoint(0.3, 0.2), 5)

@@ -15,6 +15,14 @@ class ValidationError(ToolkitError):
     pass
 
 
+class ParameterOutOfRange(ValidationError):
+    """A numeric parameter lies outside the range where its formula holds:
+    a spectrum bound that is not a finite positive number, a disk angle
+    outside (0, pi) or with cos(theta) < 0 where a positive action is
+    needed, a Bessel order or zero index that is not an integer >= 0 or
+    >= 1."""
+
+
 class NumericalError(ToolkitError):
     pass
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disk import MASLOV_THETA, MASLOV_THETA0, bessel_zero, ebk_eigenvalue
-from .errors import DegenerateAction, GlancingCircle, MissingJet, NonPositiveD
+from .errors import (DegenerateAction, GlancingCircle, MissingJet, NonPositiveD,
+                     ParameterOutOfRange)
 from .geometry import TWO_PI
 from .tori import ActionData
 
@@ -74,6 +75,9 @@ class BirkhoffData:
         I0 = math.cos(theta)
         if 1.0 - I0 * I0 <= 0.0:
             raise GlancingCircle(f"disk circle at theta={theta!r} is glancing: cos(theta)^2 = 1")
+        if I0 < 0.0:
+            raise ParameterOutOfRange(f"disk quasimodes need cos(theta) >= 0, the action I0; "
+                                      f"theta={theta!r} gives {I0!r}")
         p = dict(birkhoff_p or {})
         if radon_value is not None:
             p[(0, 0)] = p.get((0, 0), 0.0) - 2j * radon_value

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (CutoffOutOfRange, DTooSmall, EmptySpectrumAboveAlpha,
                      GridTooCoarse, NoClusters, PathCountMismatch, PathJumpsGap,
                      TooFewEigenvalues, TooFewIntervals)
+from .roots import bracketed_newton
 
 
 @dataclass
@@ -36,13 +36,12 @@ class Spectrum:
 
     @classmethod
     def from_file(cls, path, dimension: int = 2) -> "Spectrum":
-        vals = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    vals.append(float(line))
-        return cls(np.array(vals), dimension=dimension)
+        """One eigenvalue per line; blank lines and lines starting with #
+        are skipped."""
+        vals = np.loadtxt(path, ndmin=2)
+        if vals.shape[1] != 1:
+            raise ValueError(f"{path}: expected one eigenvalue per line, found {vals.shape[1]}")
+        return cls(vals[:, 0], dimension=dimension)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -101,22 +100,38 @@ class IntervalClusterSet:
                         margins.tolist(), (b - a).tolist()))
 
 
-def _endpoint(lam_j: float, c: float, d: float, side: int) -> float:
-    """Solve lam + side*2c*lam^-d = lam_j for the component endpoint."""
-    def g(lam):
-        return lam + side * 2.0 * c * lam ** (-d) - lam_j
-    w = 2.0 * c * lam_j ** (-d)
-    lo, hi = max(lam_j - 2.5 * w, 1e-9), lam_j + 2.5 * w
-    if side > 0 and g(lo) > 0.0:
-        # lam + 2c lam^-d falls to its minimum at lam_min, then rises; the
-        # endpoint is the root on the rising branch, if there is one
-        lam_min = (2.0 * c * d) ** (1.0 / (d + 1.0))
-        floor = lam_min + 2.0 * c * lam_min ** (-d)
-        if lam_j < floor:
-            raise CutoffOutOfRange(f"eigenvalue {lam_j} is below {floor:.6g}, the minimum of "
-                                   "lam + 2c lam^-d; raise alpha above it")
-        lo = lam_min
-    return brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
+def _endpoints(lam: np.ndarray, c: float, d: float, side: int) -> np.ndarray:
+    """Solve x + side*2c*x^-d = lam_j for the component endpoint of every
+    eigenvalue lam_j at once.
+
+    Each root is bracketed in [lam_j - 2.5w, lam_j + 2.5w], w = 2c lam_j^-d,
+    where g(x) = x + side*2c x^-d - lam_j has g <= 0 at the lower end and
+    g > 0 at the upper one.  roots.bracketed_newton refines all roots at
+    once from lam_j - side*w, stopping each at a step below
+    1e-14 + 8.9e-16 x.
+    """
+    w = 2.0 * c * lam ** (-d)
+    lo, hi = np.maximum(lam - 2.5 * w, 1e-9), lam + 2.5 * w
+    if side > 0:
+        # lam + 2c lam^-d falls to its minimum at lam_min, then rises; where
+        # the bracket starts above lam_j, the endpoint is the root on the
+        # rising branch, if there is one
+        rising = lo + 2.0 * c * lo ** (-d) - lam > 0.0
+        if rising.any():
+            lam_min = (2.0 * c * d) ** (1.0 / (d + 1.0))
+            floor = lam_min + 2.0 * c * lam_min ** (-d)
+            below = lam[rising & (lam < floor)]
+            if len(below):
+                raise CutoffOutOfRange(f"eigenvalue {float(below[0])} is below {floor:.6g}, the "
+                                       "minimum of lam + 2c lam^-d; raise alpha above it")
+            lo[rising] = lam_min
+
+    def g_and_slope(live, x):
+        t = 2.0 * c * x ** (-d)
+        return x + side * t - lam[live], 1.0 - side * d * t / x
+
+    return bracketed_newton(g_and_slope, np.clip(lam - side * w, lo, hi), lo, hi,
+                            np.zeros(len(lam), bool), 1e-14, 8.9e-16, "cluster endpoints")
 
 
 def build_clusters(spec: Spectrum, c: float, d: float, alpha: float) -> IntervalClusterSet:
@@ -124,7 +139,8 @@ def build_clusters(spec: Spectrum, c: float, d: float, alpha: float) -> Interval
     shrunk by (3/2)c*endpoint^-d on each side.
 
     The indicator is a union of per-eigenvalue intervals whose endpoints
-    solve lam -+ 2c lam^-d = lam_j; overlapping ones merge into components.
+    solve lam -+ 2c lam^-d = lam_j, all eigenvalues at once by the array
+    Newton solver _endpoints; overlapping ones merge into components.
     Components that may be truncated by the top of the supplied spectrum
     are dropped; NoClusters is raised when no interval is left.
     """
@@ -136,8 +152,8 @@ def build_clusters(spec: Spectrum, c: float, d: float, alpha: float) -> Interval
     if len(ev_above) == 0:
         raise EmptySpectrumAboveAlpha(f"no eigenvalues above alpha = {alpha}")
 
-    lo = np.array([_endpoint(lam_j, c, d, +1) for lam_j in ev_above])
-    hi = np.array([_endpoint(lam_j, c, d, -1) for lam_j in ev_above])
+    lo = _endpoints(ev_above, c, d, +1)
+    hi = _endpoints(ev_above, c, d, -1)
     # a piece starts a new component when its lo lies above every earlier hi
     reach = np.maximum.accumulate(hi)
     first = np.append(True, lo[1:] > reach[:-1])

@@ -81,6 +81,25 @@ def test_quasimode_on_glancing_disk_circle_exits_2(tmp_path, capsys, theta):
     assert "glancing" in report["message"]
 
 
+@pytest.mark.parametrize("theta", [2.0, 4.0])
+def test_quasimode_on_disk_circle_with_negative_action_exits_2(tmp_path, capsys, theta):
+    rc, out = run(tmp_path, "quasimode", {**CONFIGS["quasimode"][0], "disk_theta": theta}, "csv")
+    assert rc == 2
+    assert not out.exists()
+    assert error_of(capsys) == "ParameterOutOfRange"
+
+
+@pytest.mark.parametrize("lambda_max", [-5.0, 0.0, math.nan, math.inf])
+def test_cluster_on_disk_spectrum_with_bad_bound_exits_2(tmp_path, capsys, lambda_max):
+    config = {**CONFIGS["cluster"][0],
+              "spectrum": {"type": "disk-dirichlet", "lambda_max": lambda_max}}
+    rc, _ = run(tmp_path, "cluster", config)
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "ParameterOutOfRange"
+    assert "lambda_max" in report["message"]
+
+
 @pytest.mark.parametrize("where", ["spectrum", "h2_files"])
 def test_missing_input_file_exits_2(tmp_path, capsys, where):
     missing = str(tmp_path / "missing.txt")

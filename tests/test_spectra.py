@@ -14,8 +14,9 @@ from spectral_billiards.errors import (CutoffOutOfRange, DTooSmall,
 from spectral_billiards.quasi import (BirkhoffData, evaluate_mu, find_indices,
                                       solve_recursion)
 from spectral_billiards.spectra import (IntervalClusterSet, Spectrum,
-                                        build_clusters, trap_constancy,
-                                        verify_H1, verify_H2, weyl_fit)
+                                        _endpoints, build_clusters,
+                                        trap_constancy, verify_H1, verify_H2,
+                                        weyl_fit)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,29 @@ def test_cluster_endpoints_near_the_minimum_of_the_cutoff_curve():
     lo = cs.raw_intervals[0, 0]
     assert lo > 1.489
     assert lo + 2.0 * lo ** -1.2 == pytest.approx(2.74, rel=1e-14)
+
+
+def test_cluster_endpoints_match_closed_form_roots(squares):
+    # with c = 1, d = 1 the endpoints solve x^2 - lam x -+ 2 = 0; the squares
+    # are far apart, so every raw interval belongs to one eigenvalue
+    cs = build_clusters(squares, c=1.0, d=1.0, alpha=50.0)
+    lam = squares.eigenvalues[squares.eigenvalues >= 50.0][:len(cs.raw_intervals)]
+    lo = 0.5 * (lam + np.sqrt(lam * lam - 8.0))
+    hi = 0.5 * (lam + np.sqrt(lam * lam + 8.0))
+    np.testing.assert_allclose(cs.raw_intervals, np.column_stack([lo, hi]), rtol=1e-15, atol=0.0)
+
+
+def test_cluster_endpoints_match_scalar_brent_roots(disk_spec):
+    lam = disk_spec.eigenvalues[disk_spec.eigenvalues >= 50.0]
+    raw = build_clusters(disk_spec, c=1.0, d=1.2, alpha=50.0).raw_intervals
+    for side, col in ((+1, 0), (-1, 1)):
+        want = np.array([brentq(lambda x: x + side * 2.0 * x ** -1.2 - lam_j,
+                                lam_j - 5.0 * lam_j ** -1.2, lam_j + 5.0 * lam_j ** -1.2,
+                                xtol=1e-14, rtol=8.9e-16) for lam_j in lam])
+        got = _endpoints(lam, 1.0, 1.2, side)
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+        # the components of build_clusters start and end at these roots
+        assert np.all(np.isin(raw[:, col], got))
 
 
 # --- locate -----------------------------------------------------------------------
@@ -321,6 +345,26 @@ def test_spectrum_file_roundtrip(tmp_path, squares):
     squares.save(path)
     back = Spectrum.from_file(path, dimension=1)
     assert np.array_equal(back.eigenvalues, squares.eigenvalues)
+
+
+def test_spectrum_file_parse_equals_per_line_float(tmp_path):
+    values = np.random.default_rng(3).uniform(0.0, 2e4, 500)
+    path = tmp_path / "spec.txt"
+    lines = ["# disk spectrum", ""] + [f"{v:.17g}" for v in values[:250]]
+    lines += ["   # indented comment", "  ", "\t"] + [f"  {v:.17g}  " for v in values[250:]] + [""]
+    path.write_text("\n".join(lines))
+    # reference: the per-line float() parse
+    want = [float(line.strip()) for line in lines
+            if line.strip() and not line.strip().startswith("#")]
+    got = Spectrum.from_file(path).eigenvalues
+    assert np.array_equal(got.view(np.int64), np.sort(want).view(np.int64))
+
+
+def test_spectrum_file_with_two_columns_is_rejected(tmp_path):
+    path = tmp_path / "spec.txt"
+    path.write_text("1.0 2.0\n3.0 4.0\n")
+    with pytest.raises(ValueError, match="one eigenvalue per line"):
+        Spectrum.from_file(path)
 
 
 def test_shipped_spectrum_matches_generator(disk_spec):

@@ -4,9 +4,9 @@ Phase space is (s, xi): arclength along the boundary and tangential
 momentum, |xi| < 1.  The outgoing unit direction at (s, xi) is
 xi*T(s) + sqrt(1-xi^2)*nu(s).  The bounce itself lives on the curve:
 BoundaryCurve.step finds the next intersection with the boundary in the
-construction parameter t (closed-form quadratic for circles/ellipses,
-Newton on plain floats inside the curvature bracket of Blaschke's rolling
-theorem for Fourier curves) to ~1e-12.  Batches of phase points go through
+construction parameter t (closed form for circles/ellipses; on Fourier
+curves roots.float_newton on the radial gap, bracketed by the curvature
+bounds of Blaschke's rolling theorem).  Batches of phase points go through
 billiard_map_many, which converts s <-> t once for the whole batch and
 bounces it with BoundaryCurve.step_many: array arithmetic on conics, the
 scalar step mapped over the nodes on Fourier curves.  billiard_map is its
@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateChord, GlancingRay, NewtonDivergence,
-                     NoTransversalHit, QuadratureNonConvergence)
+                     NoTransversalHit, ParameterOutOfRange,
+                     QuadratureNonConvergence)
 from .geometry import TWO_PI, BoundaryCurve
 
 EPS_GLANCE = 1e-6
@@ -56,7 +57,7 @@ class ChordData:
     direction: tuple[float, float]
 
 
-def billiard_map_many(curve: BoundaryCurve, s, xi, eps_glance: float = EPS_GLANCE):
+def billiard_map_many(curve: BoundaryCurve, s, xi):
     """Apply the billiard ball map once to each phase point (s[i], xi[i]).
 
     One glancing check, one s -> t solve, one curve.step_many and one
@@ -67,18 +68,17 @@ def billiard_map_many(curve: BoundaryCurve, s, xi, eps_glance: float = EPS_GLANC
     s = np.atleast_1d(np.asarray(s, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     peak = float(np.max(np.abs(xi)))
-    if peak > 1.0 - eps_glance:
-        raise GlancingRay(f"|xi| = {peak} exceeds the glancing cutoff 1-{eps_glance}")
+    if peak > 1.0 - EPS_GLANCE:
+        raise GlancingRay(f"|xi| = {peak} exceeds the glancing cutoff 1-{EPS_GLANCE}")
     t = curve.param_of_arclength(s % curve.total_length)
     t1, xi1, ell = curve.step_many(t, xi)
     s1 = curve.arclength_of_param(t1) % curve.total_length
     return s1, xi1, ell, t, t1
 
 
-def billiard_map(curve: BoundaryCurve, p: PhasePoint,
-                 eps_glance: float = EPS_GLANCE) -> tuple[PhasePoint, ChordData]:
+def billiard_map(curve: BoundaryCurve, p: PhasePoint) -> tuple[PhasePoint, ChordData]:
     """Apply the billiard ball map once; returns the image point and chord."""
-    s1, xi1, ell, t, t1 = (float(v[0]) for v in billiard_map_many(curve, p.s, p.xi, eps_glance))
+    s1, xi1, ell, t, t1 = (float(v[0]) for v in billiard_map_many(curve, p.s, p.xi))
     target = PhasePoint(s1, xi1)
     x0, y0 = (float(v) for v in curve.position_t(t))
     x1, y1 = (float(v) for v in curve.position_t(t1))
@@ -125,7 +125,7 @@ def orbit(curve: BoundaryCurve, p: PhasePoint, m: int,
           eps_glance: float = EPS_GLANCE) -> Orbit:
     """Iterate the billiard map m times from p."""
     if m < 1:
-        raise ValueError("need at least one bounce")
+        raise ParameterOutOfRange(f"need at least one bounce, got m = {m}")
     ts = np.empty(m + 1)
     xis = np.empty(m + 1)
     ells = np.empty(m)
@@ -179,9 +179,9 @@ def generating_residual(curve: BoundaryCurve, s: float, s_prime: float) -> tuple
     return d_s + xi, d_sp - xi_p
 
 
-def map_jacobian(curve: BoundaryCurve, p: PhasePoint, step: float = 1e-6,
-                 iterations: int = 1) -> np.ndarray:
-    """Central-difference Jacobian of B^iterations at p in (s, xi)."""
+def map_jacobian(curve: BoundaryCurve, p: PhasePoint, iterations: int = 1) -> np.ndarray:
+    """Central-difference Jacobian of B^iterations at p in (s, xi), step 1e-6."""
+    step = 1e-6
     L = curve.total_length
     # the four stencil points (s+-step, xi) and (s, xi+-step) as one batch
     s = (p.s + np.array([step, -step, 0.0, 0.0])) % L

@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import j0, j1
 
 from .billiard import PhasePoint
 from .errors import ParameterOutOfRange
 from .geometry import CircleCurve
-from .roots import bracketed_newton
+from .roots import bracketed_newton, float_newton
 from .tori import InvariantCircle, RotationData
 
 # Maslov integers for the Dirichlet disk, calibrated against the Bessel-zero
@@ -191,13 +190,17 @@ def ebk_eigenvalue(m: int, p: int, maslov: tuple[int, int] = (MASLOV_THETA0, MAS
     theta0, theta_m = maslov
     lhs = m + theta0 / 4.0
     if lhs <= 0.0:
-        raise ValueError("angular index too small for the EBK branch")
+        raise ParameterOutOfRange("angular index too small for the EBK branch")
     rhs = (2.0 * math.pi * p - 0.5 * math.pi * theta_m) / (2.0 * lhs)
     if rhs <= 0.0:
-        raise ValueError("radial quantum number too small for the EBK branch")
+        raise ParameterOutOfRange("radial quantum number too small for the EBK branch")
 
     def fun(th):
-        return math.tan(th) - th - rhs
+        tan = math.tan(th)
+        return tan - th - rhs, tan * tan
 
-    th = brentq(fun, 1e-12, 0.5 * math.pi - 1e-9, xtol=1e-15, rtol=8.9e-16)
+    # tan(th) - th = rhs is convex and increasing, and tan(th) - th >= th^3/3 and
+    # th = atan(rhs + th) bound its root above: Newton from there never bisects
+    start = min((3.0 * rhs) ** (1.0 / 3.0), math.atan(rhs + 0.5 * math.pi))
+    th = float_newton(fun, start, 1e-12, 0.5 * math.pi - 1e-9, 1e-15, 8.9e-16, "EBK angle")
     return lhs / math.cos(th)

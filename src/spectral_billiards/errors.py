@@ -16,11 +16,9 @@ class ValidationError(ToolkitError):
 
 
 class ParameterOutOfRange(ValidationError):
-    """A numeric parameter lies outside the range where its formula holds:
-    a spectrum bound that is not a finite positive number, a disk angle
-    outside (0, pi) or with cos(theta) < 0 where a positive action is
-    needed, a Bessel order or zero index that is not an integer >= 0 or
-    >= 1."""
+    """A numeric parameter lies outside the range where its formula holds,
+    such as a spectrum bound that is not finite and positive, a disk angle
+    outside (0, pi), an index, order or tolerance below its least value."""
 
 
 class NumericalError(ToolkitError):

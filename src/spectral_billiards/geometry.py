@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, NewtonDivergence, NoTransversalHit,
-                     ValidationError)
+from .errors import ConfigError, NoTransversalHit, ValidationError
+from .roots import float_newton
 
 _ARCLENGTH_SAMPLES = 4096
 
@@ -312,8 +312,8 @@ class FourierCurve(BoundaryCurve):
         """Newton on the radial gap g(u) = |p| - rho(arg p) of the ray p0 + u d,
         points as complex numbers.  The disks of radius 1/kappa_max and
         1/kappa_min tangent at p0 lie in and around the table (Blaschke), so
-        the chord u is 2 eta/kappa for a kappa between them: Newton starts at
-        2 eta L/2pi and bisects out of [eta/1.01 kappa_max, 2.02 eta/kappa_min]."""
+        the chord u is 2 eta/kappa for a kappa between them: roots.float_newton
+        starts at 2 eta L/2pi inside [eta/1.01 kappa_max, 2.02 eta/kappa_min]."""
         eta = math.sqrt(max(0.0, 1.0 - xi * xi))
         if not eta > 0.0:
             raise NoTransversalHit(f"ray at xi = {xi} does not enter the table")
@@ -333,19 +333,8 @@ class FourierCurve(BoundaryCurve):
         lo, hi = eta / (1.01 * self._kappa_max), 2.02 * eta / self._kappa_min
         if not gap(lo)[0] <= 0.0 < gap(hi)[0]:
             raise NoTransversalHit(f"ray at t = {t}, xi = {xi} does not leave the table transversally")
-        u = min(max(eta * float(self.total_length) / math.pi, lo), hi)
-        for _ in range(100):
-            g, dg = gap(u)
-            lo, hi = (u, hi) if g <= 0.0 else (lo, u)
-            un = u - g / dg if dg else math.nan
-            # the bracket is inclusive, so that an exact root stays put
-            if not lo <= un <= hi:
-                un = 0.5 * (lo + hi)
-            u, du = un, un - u
-            if abs(du) <= 1e-14 + 8.9e-16 * abs(u):
-                break
-        else:
-            raise NewtonDivergence("chord refinement did not settle in 100 steps")
+        u = float_newton(gap, eta * float(self.total_length) / math.pi, lo, hi,
+                         1e-14, 8.9e-16, "chord refinement")
         p = p0 + u * d
         z = p / abs(p)
         rho, drho = self._jet(z)

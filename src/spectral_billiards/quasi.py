@@ -124,7 +124,7 @@ def find_indices(data: BirkhoffData, d_n: float, k_range) -> IndexSet:
     d_n.  Raises DegenerateAction for I0 = 0.
     """
     if d_n < 0.0:
-        raise ValueError("d_n must be nonnegative")
+        raise ParameterOutOfRange(f"d_n must be nonnegative, got {d_n}")
     if abs(data.I0) < 1e-14:
         raise DegenerateAction("I0 = 0: the angular quantization condition degenerates")
     if isinstance(k_range, tuple):
@@ -157,7 +157,7 @@ def solve_recursion(data: BirkhoffData, q: tuple[int, int], mu0: float,
     if M > 2:
         raise MissingJet(f"order M={M} needs L-jets beyond the supplied Hessian")
     if M < 0:
-        raise ValueError("M must be nonnegative")
+        raise ParameterOutOfRange(f"M must be nonnegative, got {M}")
     D = data.D
     if D <= 0.0:
         raise NonPositiveD(f"D(I0) = {D} must be positive")
@@ -211,7 +211,7 @@ def evaluate_mu(qe: QuasiEigenvalue, overrides: dict[int, float] | None = None
     deformation families t -> mu_q(t) are produced.
     """
     if qe.mu0 < 1.0:
-        raise ValueError("mu0 must be >= 1")
+        raise ParameterOutOfRange(f"mu0 must be >= 1, got {qe.mu0}")
     c = qe.c.copy()
     for j, val in (overrides or {}).items():
         c[j] = val
@@ -262,8 +262,7 @@ class EbkRow:
 
 
 def disk_ebk_compare(m_values, p: int = 1,
-                     maslov: tuple[int, int] = (MASLOV_THETA0, MASLOV_THETA),
-                     zero_table: dict[tuple[int, int], float] | None = None) -> list[EbkRow]:
+                     maslov: tuple[int, int] = (MASLOV_THETA0, MASLOV_THETA)) -> list[EbkRow]:
     """Whispering-gallery quantization against the Bessel-zero oracle.
 
     For each angular index m, the quantization pair is solved exactly for
@@ -273,9 +272,7 @@ def disk_ebk_compare(m_values, p: int = 1,
     rows = []
     for m in m_values:
         mu = ebk_eigenvalue(int(m), p, maslov)
-        j = zero_table.get((int(m), p)) if zero_table else None
-        if j is None:
-            j = bessel_zero(int(m), p)
+        j = bessel_zero(int(m), p)
         err = abs(mu - j)
         rows.append(EbkRow(m=int(m), p=p, mu=mu, oracle=j, abs_err=err,
                            rel_err=err / j, scaled_err=err * mu))

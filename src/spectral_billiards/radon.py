@@ -4,7 +4,10 @@ The central quantity is sum_j int_{Lambda_j} (K o pi_Gamma)/sin(theta) dmu_j
 over invariant circles with their unique invariant probability measures.
 On Liouville tables the same integrals have a closed form against the
 Leray form dx/sqrt(f(x)-h); both normalizations are exposed, with
-leray_mass as the conversion factor.
+leray_mass as the conversion factor.  A librational level 0 < h < f_max
+has its circles between the turning points x_h and pi - x_h, f(x_h) = h, a
+rotational one q(N) < h < 0 its caustic at q(y_h) = h: one float Newton
+solve each (_turning_point).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from .billiard import _legendre01, refine
 from .errors import CirclesNotExchanged, GlancingCircle, HOutOfRange
 from .geometry import TWO_PI, BoundaryCurve, LiouvilleTable
+from .roots import float_newton
 
 
 # ---------------------------------------------------------------------------
@@ -148,34 +152,40 @@ def torus_invariant(curve: BoundaryCurve, circles, K: BoundaryFunction,
 # Liouville level circles and Leray quadrature
 # ---------------------------------------------------------------------------
 
-def _librational_interval(table: LiouvilleTable, h: float) -> tuple[float, float]:
-    """The component of {f > h} inside (0, pi): (x_h, pi - x_h)."""
-    from scipy.optimize import brentq
-    if not 0.0 < h < table.f_max:
-        raise HOutOfRange(f"h={h} outside the librational range (0, {table.f_max})")
-    x_h = brentq(lambda x: table.f(x, 0) - h, 1e-14, 0.5 * math.pi, xtol=1e-15)
-    return x_h, math.pi - x_h
+def _turning_point(table: LiouvilleTable, h: float) -> float:
+    """x_h in (0, pi/2) with f(x_h) = h for h > 0, the caustic y_h in (0, N)
+    with q(y_h) = h for h < 0: Newton from the secant point of the bracket."""
+    if h > 0.0:
+        return float_newton(lambda x: (table.f(x, 0) - h, table.f(x, 1)),
+                            0.5 * math.pi * h / table.f_max, 1e-14, 0.5 * math.pi,
+                            1e-15, 8.9e-16, "turning point")
+    return float_newton(lambda y: (h - table.q(y, 0), -table.q(y, 1)),
+                        table.N * h / table.q_N, 0.0, table.N, 1e-15, 8.9e-16, "caustic")
 
 
 class LerayCircle:
-    """Invariant circle of a Liouville table as a Leray-weighted node set.
+    """Invariant circle of a Liouville table at a regular level h as a
+    Leray-weighted node set; any other h raises HOutOfRange.
 
-    kind 'rotational' (h < 0): the circle winds around the boundary with a
-    fixed momentum sign; nodes are uniform in x.  kind 'librational'
-    (h > 0): the circle sits over one component of {f > h} with both
-    momentum branches; nodes are Gauss-Chebyshev in x, which absorbs the
-    inverse-square-root turning-point singularity of dx/sqrt(f - h).
+    Rotational (q(N) < h < 0): the circle winds around the boundary with
+    momentum xi > 0; nodes are uniform in x.  Librational (0 < h < f_max):
+    the circle sits over (x_h, pi - x_h) + x_shift with both momentum
+    branches, x_h solved here once; nodes are Gauss-Chebyshev in x, which
+    absorbs the inverse-square-root turning-point singularity of dx/sqrt(f - h).
     """
 
-    def __init__(self, table: LiouvilleTable, h: float, kind: str,
-                 sign: int = +1, x_shift: float = 0.0,
+    def __init__(self, table: LiouvilleTable, h: float, x_shift: float = 0.0,
                  curve: BoundaryCurve | None = None):
+        if not (table.q_N < h < 0.0 or 0.0 < h < table.f_max):
+            raise HOutOfRange(
+                f"h={h} is not a regular value in ({table.q_N}, 0) u (0, {table.f_max})")
         self.table = table
         self.h = h
-        self.kind = kind
-        self.sign = sign
         self.x_shift = x_shift
         self._curve = curve
+        if h > 0.0:
+            x_h = _turning_point(table, h)
+            self.ends = (x_h, math.pi - x_h)
 
     @property
     def curve(self) -> BoundaryCurve:
@@ -184,19 +194,16 @@ class LerayCircle:
             self._curve = self.table.boundary_curve()
         return self._curve
 
-    def _xi_arc(self, f: np.ndarray) -> np.ndarray:
-        return np.sqrt((f - self.h) / (f - self.table.q_N))
-
     def x_nodes(self, n: int):
         """(x, leray_weights, f) with sum w_i * g(x_i) ~ closed-loop
         integral of g against |lambda_h| (momentum branches already
         summed); f is the table's f on the nodes before the x_shift."""
-        if self.kind == "rotational":
+        if self.h < 0.0:
             x = TWO_PI * np.arange(n) / n
             f = self.table.f(x, 0)
             w = (TWO_PI / n) / np.sqrt(f - self.h)
         else:
-            x1, x2 = _librational_interval(self.table, self.h)
+            x1, x2 = self.ends
             mid, rad = 0.5 * (x1 + x2), 0.5 * (x2 - x1)
             u = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
             x = mid + rad * np.cos(u)
@@ -209,26 +216,21 @@ class LerayCircle:
         return float(self.x_nodes(n)[1].sum())
 
     def measure_nodes(self, n: int = 2048):
-        """(s, xi, probability weights) in billiard phase space."""
-        if self.kind == "rotational":
-            x, w, f = self.x_nodes(n)
-            xi = self.sign * self._xi_arc(f)
-            s = self.curve.arclength_of_param(x % TWO_PI)
-            return s % self.curve.total_length, xi, w / w.sum()
-        x, w, f = self.x_nodes(max(8, n // 2))
-        xi = self._xi_arc(f)
-        s = self.curve.arclength_of_param(x % TWO_PI)
-        s = np.concatenate([s, s]) % self.curve.total_length
-        xi = np.concatenate([xi, -xi])
-        w = np.concatenate([w, w]) / 2.0
+        """(s, xi, probability weights) in billiard phase space; a
+        librational circle carries both momentum branches on n/2 nodes."""
+        rotational = self.h < 0.0
+        x, w, f = self.x_nodes(n if rotational else max(8, n // 2))
+        s = self.curve.arclength_of_param(x % TWO_PI) % self.curve.total_length
+        xi = np.sqrt((f - self.h) / (f - self.table.q_N))
+        if not rotational:
+            s, xi, w = np.concatenate([s, s]), np.concatenate([xi, -xi]), np.concatenate([w, w])
         return s, xi, w / w.sum()
 
 
-def rotational_circle(table: LiouvilleTable, h: float, sign: int = +1,
-                      curve: BoundaryCurve | None = None) -> LerayCircle:
+def rotational_circle(table: LiouvilleTable, h: float) -> LerayCircle:
     if not table.q_N < h < 0.0:
         raise HOutOfRange(f"h={h} outside the rotational range ({table.q_N}, 0)")
-    return LerayCircle(table, h, "rotational", sign=sign, curve=curve)
+    return LerayCircle(table, h)
 
 
 def librational_circles(table: LiouvilleTable, h: float,
@@ -237,9 +239,8 @@ def librational_circles(table: LiouvilleTable, h: float,
     reflection and by one application of the billiard map."""
     if not 0.0 < h < table.f_max:
         raise HOutOfRange(f"h={h} outside the librational range (0, {table.f_max})")
-    lam1 = LerayCircle(table, h, "librational", x_shift=0.0, curve=curve)
-    lam2 = LerayCircle(table, h, "librational", x_shift=math.pi, curve=curve)
-    return lam1, lam2
+    return (LerayCircle(table, h, curve=curve),
+            LerayCircle(table, h, x_shift=math.pi, curve=curve))
 
 
 @dataclass
@@ -263,22 +264,18 @@ def liouville_radon(table: LiouvilleTable, K: BoundaryFunction, h: float,
     pair collects the two exchanged components, each integrated over its
     {f > h} interval with the turning-point substitution.
     """
-    if h <= table.q_N or h >= table.f_max or h == 0.0:
-        raise HOutOfRange(
-            f"h={h} is not a regular value in ({table.q_N}, 0) u (0, {table.f_max})")
-
     def evaluate(circ, n):
         # 1/sin(theta) = sqrt((f - q_N)/(h - q_N)), f read on the unshifted interval
         x, w, f = circ.x_nodes(n)
         kern = np.asarray(K.in_x(x), dtype=float) * np.sqrt((f - table.q_N) / (h - table.q_N))
         return float(np.dot(w, kern))
 
+    lam1 = LerayCircle(table, h)
     if h < 0.0:
-        circ = LerayCircle(table, h, "rotational")
-        val, n, err = refine(lambda n: evaluate(circ, n), 2048, tol, 2 ** 17, "rotational Radon")
+        val, n, err = refine(lambda n: evaluate(lam1, n), 2048, tol, 2 ** 17, "rotational Radon")
         return RadonPair(plus=val, minus=-val, n_nodes=n, est_error=err)
 
-    lam1, lam2 = librational_circles(table, h)
+    lam2 = LerayCircle(table, h, x_shift=math.pi)
     v1, n1, e1 = refine(lambda n: evaluate(lam1, n), 128, tol, 2 ** 17, "librational Radon")
     v2, n2, e2 = refine(lambda n: evaluate(lam2, n), 128, tol, 2 ** 17, "librational Radon")
     return RadonPair(plus=v1, minus=v2, n_nodes=max(n1, n2), est_error=max(e1, e2))
@@ -286,13 +283,7 @@ def liouville_radon(table: LiouvilleTable, K: BoundaryFunction, h: float,
 
 def leray_mass(table: LiouvilleTable, h: float) -> float:
     """Total Leray measure of one invariant circle at level h."""
-    if table.q_N < h < 0.0:
-        circ = LerayCircle(table, h, "rotational")
-    elif 0.0 < h < table.f_max:
-        circ = librational_circles(table, h)[0]
-    else:
-        raise HOutOfRange(f"h={h} is not a regular value")
-    return refine(circ.mass, 128, 1e-9, 2 ** 17, "Leray mass")[0]
+    return refine(LerayCircle(table, h).mass, 128, 1e-9, 2 ** 17, "Leray mass")[0]
 
 
 def rotation_function(table: LiouvilleTable, h: float) -> tuple[float, float]:
@@ -302,18 +293,17 @@ def rotation_function(table: LiouvilleTable, h: float) -> tuple[float, float]:
 
         omega(h) = 2 int_{y_h}^N dy / sqrt(h - q(y))  /  int_0^{2pi} dx / sqrt(f(x) - h),
 
-    with q(y_h) = h at the caustic.  With y = y_h + w^2 the caustic integral
-    is 4 int_0^{sqrt(N - y_h)} dw / sqrt(m(w)), where m(w) is the mean of
-    -q' over [y_h, y_h + w^2] from a fixed 16-point Gauss-Legendre rule:
-    h - q(y) = w^2 m(w) without the cancellation of the direct difference
-    near w = 0.  Both integrals run through refine to 1e-13, the caustic one
-    on Gauss-Legendre rules and the Leray one on the uniform x-grid.  Needs
-    only f and q, not a planar realization of the table.
+    with q(y_h) = h at the caustic (_turning_point).  With y = y_h + w^2 the
+    caustic integral is 4 int_0^{sqrt(N - y_h)} dw / sqrt(m(w)), where m(w)
+    is the mean of -q' over [y_h, y_h + w^2] from a fixed 16-point
+    Gauss-Legendre rule: h - q(y) = w^2 m(w) without the cancellation of the
+    direct difference near w = 0.  Both integrals run through refine to
+    1e-13, the caustic one on Gauss-Legendre rules and the Leray one on the
+    uniform x-grid.  Needs only f and q, not a planar realization of the
+    table.
     """
-    from scipy.optimize import brentq
-    if not table.q_N < h < 0.0:
-        raise HOutOfRange(f"h={h} outside the rotational range ({table.q_N}, 0)")
-    y_h = brentq(lambda y: table.q(y, 0) - h, 0.0, table.N, xtol=1e-15)
+    circ = rotational_circle(table, h)
+    y_h = _turning_point(table, h)
     top = math.sqrt(table.N - y_h)
     u16, g16 = _legendre01(16)
 
@@ -324,7 +314,6 @@ def rotation_function(table: LiouvilleTable, h: float) -> tuple[float, float]:
         return 4.0 * top * float(np.dot(g, 1.0 / np.sqrt(mean)))
 
     time_y, _, err_y = refine(caustic, 8, 1e-13, 2 ** 10, "caustic period")
-    circ = LerayCircle(table, h, "rotational")
     time_x, _, err_x = refine(circ.mass, 128, 1e-13, 2 ** 17, "Leray mass")
     omega = time_y / time_x
     return omega, omega * (err_y / time_y + err_x / time_x)

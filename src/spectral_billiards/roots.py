@@ -1,14 +1,37 @@
-"""Safeguarded Newton on many bracketed roots at once.
+"""Safeguarded Newton on bracketed roots, the toolkit's only root finder.
 
-Shared by the array root finders of the toolkit: the disk's Bessel zeros
-and the endpoints of the spectral clusters.
+float_newton, one root on plain floats: the Fourier chord (geometry), the
+Liouville turning points x_h and caustics y_h (radon) and the EBK angle
+(disk).  bracketed_newton, many roots at once on arrays: the disk's Bessel
+zeros and the endpoints of the spectral clusters.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NewtonDivergence
+
+
+def float_newton(f_and_slope, x: float, lo: float, hi: float, atol: float, rtol: float,
+                 what: str) -> float:
+    """Root of f in [lo, hi], f(lo) <= 0 < f(hi), from x clamped into the
+    bracket: bracketed_newton's steps for one root on plain floats, with
+    f_and_slope(x) = (f, f').  The bracket is inclusive, so an exact root
+    stays put; the stop is a step of at most atol + rtol*|x|."""
+    x = min(max(x, lo), hi)
+    for _ in range(100):
+        f, df = f_and_slope(x)
+        lo, hi = (x, hi) if f <= 0.0 else (lo, x)
+        xn = x - f / df if df else math.nan
+        if not lo <= xn <= hi:
+            xn = 0.5 * (lo + hi)
+        x, dx = xn, xn - x
+        if abs(dx) <= atol + rtol * abs(x):
+            return x
+    raise NewtonDivergence(f"{what} did not settle in 100 steps")
 
 
 def bracketed_newton(f_and_slope, x, lo, hi, lo_positive, atol: float, rtol: float,

@@ -249,8 +249,7 @@ class InvariantCircle:
                           float(self.xi_of_phi(phi)))
 
 
-def _fit_coeffs(values: np.ndarray, phases: np.ndarray, n_modes: int,
-                grid: int = 16384) -> np.ndarray:
+def _fit_coeffs(values: np.ndarray, phases: np.ndarray, n_modes: int) -> np.ndarray:
     """Fourier coefficients of a periodic function sampled along an orbit.
 
     Sorts the samples by phase mod 2*pi, interpolates the closure with a
@@ -268,6 +267,7 @@ def _fit_coeffs(values: np.ndarray, phases: np.ndarray, n_modes: int,
     x = np.concatenate([ph, [ph[0] + TWO_PI]])
     y = np.concatenate([vals, [vals[0]]])
     spline = CubicSpline(x, y, bc_type="periodic")
+    grid = 16384
     uniform = ph[0] + TWO_PI * np.arange(grid) / grid
     c = np.fft.rfft(spline(uniform)) / grid
     # undo the grid offset: samples start at ph[0], not 0
@@ -280,16 +280,16 @@ def _fit_coeffs(values: np.ndarray, phases: np.ndarray, n_modes: int,
     return coeffs
 
 
-def _conjugacy_residual(curve: BoundaryCurve, circ: InvariantCircle, n_check: int = 512):
+def _conjugacy_residual(curve: BoundaryCurve, circ: InvariantCircle):
     """(max residual, mean s-defect) of B(F(phi)) = F(phi + 2*pi*omega_orbit)
-    on a uniform n_check-grid, from one batched map call."""
-    _, s, xi = circ.grid(n_check)
+    on a uniform 512-point grid, from one batched map call."""
+    _, s, xi = circ.grid(512)
     xi_peak = float(np.max(np.abs(xi)))
     if xi_peak > 1.0 - EPS_GLANCE:
         raise FitDiverged(f"fitted circle reaches |xi| = {xi_peak!r}, "
                           f"past the glancing cutoff 1-{EPS_GLANCE}")
     s_img, xi_img, *_ = billiard_map_many(curve, s, xi)
-    _, s_tgt, xi_tgt = circ.grid(n_check, TWO_PI * circ.omega_orbit)
+    _, s_tgt, xi_tgt = circ.grid(512, TWO_PI * circ.omega_orbit)
     L = curve.total_length
     ds = ((s_img - s_tgt + 0.5 * L) % L) - 0.5 * L
     return float(np.max(np.hypot(ds, xi_img - xi_tgt))), float(np.mean(ds))

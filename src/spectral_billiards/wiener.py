@@ -202,7 +202,7 @@ def solve_homological(f: TorusFunction, omega, kappa: float | None = None,
     return TorusFunction(out, dim=f.dim)
 
 
-def derivative_sup_bound_check(u: TorusFunction, s: int, grid: int = 4096) -> dict:
+def derivative_sup_bound_check(u: TorusFunction, s: int) -> dict:
     """Grid check of sup |d^alpha u| <= ||u||_s for all |alpha| <= s
     (the computable half of the embedding of the Wiener space into C^s)."""
     if s < 0 or s != int(s):
@@ -211,7 +211,7 @@ def derivative_sup_bound_check(u: TorusFunction, s: int, grid: int = 4096) -> di
     rows = []
     ok = True
     if u.dim == 1:
-        phi = 2.0 * math.pi * np.arange(grid) / grid
+        phi = 2.0 * math.pi * np.arange(4096) / 4096
         for a in range(s + 1):
             sup = float(np.abs(u.derivative(a)(phi)).max()) if u.coeffs else 0.0
             passed = sup <= norm * (1.0 + 1e-12)
@@ -219,7 +219,7 @@ def derivative_sup_bound_check(u: TorusFunction, s: int, grid: int = 4096) -> di
             rows.append({"alpha": (a,), "sup": sup, "passed": passed})
     else:
         import itertools
-        side = max(8, int(round(grid ** (1.0 / u.dim))))
+        side = max(8, int(round(4096 ** (1.0 / u.dim))))
         axes = [2.0 * math.pi * np.arange(side) / side] * u.dim
         mesh = np.meshgrid(*axes, indexing="ij")
         for alpha in itertools.product(range(s + 1), repeat=u.dim):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +135,25 @@ def test_arclength_kernel_on_a_table_exits_2(tmp_path, capsys, kind):
     rc, _ = run(tmp_path, "radon", {**CONFIGS["radon"][0], "kernel": {"type": kind, "m": 2}})
     assert rc == 2
     assert error_of(capsys) == "ConfigError"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("quasimode", {**CONFIGS["quasimode"][0], "d_n": -1}),
+    ("quasimode", {**CONFIGS["quasimode"][0], "M": -1}),
+    ("map", {**CONFIGS["map"][0], "bounces": 0}),
+], ids=["d_n", "M", "bounces"])
+def test_out_of_range_parameter_exits_2(tmp_path, capsys, command, config):
+    rc, _ = run(tmp_path, command, config, CONFIGS[command][1])
+    assert rc == 2
+    assert error_of(capsys) == "ParameterOutOfRange"
+
+
+def test_fresh_import_leaves_scipy_optimize_out():
+    code = "import sys, spectral_billiards.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "False\n"
 
 
 def test_cluster_eigenvalue_below_the_cutoff_curve_exits_2(tmp_path, capsys):

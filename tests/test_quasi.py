@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from spectral_billiards.disk import bessel_zero
+from spectral_billiards.billiard import PhasePoint, orbit
+from spectral_billiards.disk import bessel_zero, ebk_eigenvalue
 from spectral_billiards.errors import (DegenerateAction, MissingJet,
-                                       NonPositiveD)
+                                       NonPositiveD, ParameterOutOfRange)
+from spectral_billiards.geometry import make_circle
 from spectral_billiards.quasi import (BirkhoffData, disk_ebk_compare,
                                       evaluate_mu, find_indices,
                                       quantization_residuals, solve_recursion,
@@ -232,6 +234,31 @@ def test_whispering_gallery_match():
     rels = [r.rel_err for r in rows]
     assert all(r < 1e-3 for r in rels)
     assert all(a > b for a, b in zip(rels, rels[1:]))
+
+
+@pytest.mark.parametrize("m", [2, 5, 10, 20, 40, 80, 160, 200])
+def test_ebk_eigenvalue_against_brent_root(m):
+    # reference: Brent's method on tan(theta) - theta = rhs
+    from scipy.optimize import brentq
+    for p in range(1, 6):
+        rhs = (2.0 * math.pi * p - 0.5 * math.pi) / (2.0 * m)
+        th = brentq(lambda t: math.tan(t) - t - rhs, 1e-12, 0.5 * math.pi - 1e-9,
+                    xtol=1e-15, rtol=8.9e-16)
+        assert ebk_eigenvalue(m, p) == pytest.approx(m / math.cos(th), rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: find_indices(_disk_data(), -1.0, (1, 10)),
+    lambda: solve_recursion(_disk_data(M=-1), (20, 5), 30.0),
+    lambda: evaluate_mu(QuasiEigenvalue(q=(0, 0), mu0=0.5, c=np.zeros(3), b=np.zeros(4),
+                                        max_imag=0.0)),
+    lambda: ebk_eigenvalue(0, 1),
+    lambda: ebk_eigenvalue(5, 0),
+    lambda: orbit(make_circle(1.0), PhasePoint(0.0, 0.3), 0),
+], ids=["d_n<0", "M<0", "mu0<1", "m+theta0/4<=0", "p-theta/4<=0", "no-bounce"])
+def test_out_of_range_parameters_raise_typed_errors(call):
+    with pytest.raises(ParameterOutOfRange):
+        call()
 
 
 def test_maslov_offset_by_four_absorbed():

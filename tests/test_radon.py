@@ -7,8 +7,11 @@ from spectral_billiards.billiard import PhasePoint, billiard_map_many
 from spectral_billiards.disk import disk_circle
 from spectral_billiards.errors import (CirclesNotExchanged, GlancingCircle,
                                        HOutOfRange)
-from spectral_billiards.radon import (BoundaryFunction, SymmetryGroup,
-                                      _hausdorff, bouncing_ball_identity_check,
+from spectral_billiards.geometry import elliptic_table
+from spectral_billiards.radon import (BoundaryFunction, LerayCircle,
+                                      SymmetryGroup, _hausdorff,
+                                      _turning_point,
+                                      bouncing_ball_identity_check,
                                       leray_mass, librational_circles,
                                       liouville_radon, rotational_circle,
                                       symmetry_average, torus_invariant)
@@ -149,6 +152,32 @@ def test_radon_librational_branch_against_tanh_sinh_oracle(table_e21):
     # the component integral doubles over the two momentum branches
     assert pair.plus == pytest.approx(2.0 * oracle, rel=1e-8)
     assert pair.plus == pytest.approx(pair.minus, rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [0.8, 1.0, 1.25])
+def test_turning_points_match_the_elliptic_closed_forms(c):
+    # f = c^2 sin^2 x and q = -c^2 sinh^2 y: x_h = asin(sqrt(h)/c) on a
+    # librational level, y_h = asinh(sqrt(-h)/c) on a rotational one
+    import mpmath as mp
+    table = elliptic_table(c, 1.0)
+    with mp.workdps(30):
+        for frac in np.linspace(0.02, 0.98, 25):
+            h = float(frac * table.f_max)
+            x_h = LerayCircle(table, h).ends[0]
+            exact = mp.asin(mp.sqrt(h) / c)
+            assert abs(x_h - exact) <= 1e-15 * exact
+            h = float(frac * table.q_N)
+            exact = mp.asinh(mp.sqrt(-h) / c)
+            assert abs(_turning_point(table, h) - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("h", [-1.6, 0.0, 1.5])
+def test_leray_circle_rejects_a_level_that_is_not_regular(table_c1, h):
+    # q_N = -sinh(1)^2 = -1.38, f_max = 1
+    with pytest.raises(HOutOfRange, match="not a regular value"):
+        LerayCircle(table_c1, h)
+    with pytest.raises(HOutOfRange, match="not a regular value"):
+        leray_mass(table_c1, h)
 
 
 def test_leray_vs_probability_normalization(table_c1):

@@ -2,15 +2,13 @@
 for planar tables."""
 
 from .billiard import (ChordData, Orbit, PhasePoint, billiard_map,
-                       billiard_map_many, flowout_integral,
-                       generating_residual, map_jacobian, orbit)
+                       billiard_map_many, flowout_integral, map_jacobian, orbit)
 from .geometry import (BoundaryCurve, LiouvilleTable, curve_from_spec,
                        elliptic_table, elliptic_table_for_ellipse,
                        liouville_validate, make_circle, make_ellipse,
                        make_fourier, table_from_spec)
-from .quasi import (BirkhoffData, QuasiEigenvalue, disk_ebk_compare,
-                    evaluate_mu, find_indices, quantization_residuals,
-                    solve_recursion, system_determinant)
+from .quasi import (BirkhoffData, QuasiEigenvalue, evaluate_mu, find_indices,
+                    solve_recursion)
 from .radon import (BoundaryFunction, LerayCircle, RadonPair, SymmetryGroup,
                     bouncing_ball_identity_check, leray_mass,
                     librational_circles, liouville_radon, rotation_function,
@@ -21,11 +19,8 @@ from .spectra import (IntervalClusterSet, Spectrum, build_clusters,
                       trap_constancy, verify_H1, verify_H2, weyl_fit)
 from .tori import (ActionData, DiophantineWitness, InvariantCircle,
                    RotationData, action_data, circle_conjugacy,
-                   diophantine_kappa, elliptic_fixed_point_data,
-                   liouville_integral, rotation_number,
-                   rotation_number_order_based)
-from .wiener import (TorusFunction, apply_Lomega, derivative_sup_bound_check,
-                     load_coefficients, save_coefficients, solve_homological,
-                     wiener_norm)
+                   diophantine_kappa, liouville_integral, rotation_number)
+from .wiener import (TorusFunction, apply_Lomega, load_coefficients,
+                     solve_homological, wiener_norm)
 
 __version__ = "0.1.0"

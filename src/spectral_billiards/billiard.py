@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateChord, GlancingRay, NewtonDivergence,
-                     NoTransversalHit, ParameterOutOfRange,
-                     QuadratureNonConvergence)
+from .errors import (GlancingRay, NewtonDivergence, NoTransversalHit,
+                     ParameterOutOfRange, QuadratureNonConvergence)
 from .geometry import TWO_PI, BoundaryCurve
 
 EPS_GLANCE = 1e-6
@@ -121,8 +120,7 @@ class Orbit:
         return np.column_stack([x, y])
 
 
-def orbit(curve: BoundaryCurve, p: PhasePoint, m: int,
-          eps_glance: float = EPS_GLANCE) -> Orbit:
+def orbit(curve: BoundaryCurve, p: PhasePoint, m: int) -> Orbit:
     """Iterate the billiard map m times from p."""
     if m < 1:
         raise ParameterOutOfRange(f"need at least one bounce, got m = {m}")
@@ -134,7 +132,7 @@ def orbit(curve: BoundaryCurve, p: PhasePoint, m: int,
     ts[0], xis[0] = t, xi
     lift = t
     for i in range(m):
-        if abs(xi) > 1.0 - eps_glance:
+        if abs(xi) > 1.0 - EPS_GLANCE:
             raise GlancingRay(f"bounce {i}: |xi| = {abs(xi)} exceeds the glancing cutoff")
         try:
             t_next, xi, ell = curve.step(t % TWO_PI, xi)
@@ -149,45 +147,14 @@ def orbit(curve: BoundaryCurve, p: PhasePoint, m: int,
     return Orbit(curve=curve, t_lifted=ts, xi=xis, lengths=ells)
 
 
-def chord_momenta(curve: BoundaryCurve, s: float, s_prime: float) -> tuple[float, float, float]:
-    """Tangential momenta (xi, xi') induced by the straight chord s -> s',
-    plus the chord length."""
-    x0, y0 = curve.position(s)
-    x1, y1 = curve.position(s_prime)
-    ell = math.hypot(x1 - x0, y1 - y0)
-    if ell < 1e-12 * curve.total_length:
-        raise DegenerateChord("chord endpoints coincide")
-    dx, dy = (x1 - x0) / ell, (y1 - y0) / ell
-    tx0, ty0 = curve.tangent(s)
-    tx1, ty1 = curve.tangent(s_prime)
-    return dx * tx0 + dy * ty0, dx * tx1 + dy * ty1, ell
-
-
-def generating_residual(curve: BoundaryCurve, s: float, s_prime: float) -> tuple[float, float]:
-    """Defect of the generating relations d(len)/ds = -xi, d(len)/ds' = xi',
-    with the derivatives taken by central finite differences."""
-    xi, xi_p, _ = chord_momenta(curve, s, s_prime)
-    h = 1e-6 * max(1.0, curve.total_length)
-
-    def ell(u, v):
-        xa, ya = curve.position(u % curve.total_length)
-        xb, yb = curve.position(v % curve.total_length)
-        return math.hypot(xb - xa, yb - ya)
-
-    d_s = (ell(s + h, s_prime) - ell(s - h, s_prime)) / (2.0 * h)
-    d_sp = (ell(s, s_prime + h) - ell(s, s_prime - h)) / (2.0 * h)
-    return d_s + xi, d_sp - xi_p
-
-
-def map_jacobian(curve: BoundaryCurve, p: PhasePoint, iterations: int = 1) -> np.ndarray:
-    """Central-difference Jacobian of B^iterations at p in (s, xi), step 1e-6."""
+def map_jacobian(curve: BoundaryCurve, p: PhasePoint) -> np.ndarray:
+    """Central-difference Jacobian of B at p in (s, xi), step 1e-6."""
     step = 1e-6
     L = curve.total_length
     # the four stencil points (s+-step, xi) and (s, xi+-step) as one batch
     s = (p.s + np.array([step, -step, 0.0, 0.0])) % L
     xi = p.xi + np.array([0.0, 0.0, step, -step])
-    for _ in range(iterations):
-        s, xi, *_ = billiard_map_many(curve, s, xi)
+    s, xi, *_ = billiard_map_many(curve, s, xi)
     ds = ((s[0::2] - s[1::2] + 0.5 * L) % L) - 0.5 * L
     return np.array([ds, xi[0::2] - xi[1::2]]) / (2.0 * step)
 

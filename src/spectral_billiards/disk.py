@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .billiard import PhasePoint
 from .errors import ParameterOutOfRange
@@ -36,21 +35,21 @@ MASLOV_THETA0 = 0
 MASLOV_THETA = 1
 
 
-def disk_L(I: float, r: float = 1.0) -> float:
-    """Loop action L(I) = 2(sqrt(r^2-I^2) - I*arccos(I/r))."""
-    return 2.0 * (math.sqrt(r * r - I * I) - I * math.acos(I / r))
+def disk_L(I: float) -> float:
+    """Loop action L(I) = 2(sqrt(1-I^2) - I*arccos(I)) of the unit disk."""
+    return 2.0 * (math.sqrt(1.0 - I * I) - I * math.acos(I))
 
 
-def disk_grad_L(I: float, r: float = 1.0) -> float:
-    return -2.0 * math.acos(I / r)
+def disk_grad_L(I: float) -> float:
+    return -2.0 * math.acos(I)
 
 
-def disk_hess_L(I: float, r: float = 1.0) -> float:
-    return 2.0 / math.sqrt(r * r - I * I)
+def disk_hess_L(I: float) -> float:
+    return 2.0 / math.sqrt(1.0 - I * I)
 
 
-def disk_third_L(I: float, r: float = 1.0) -> float:
-    return 2.0 * I / (r * r - I * I) ** 1.5
+def disk_third_L(I: float) -> float:
+    return 2.0 * I / (1.0 - I * I) ** 1.5
 
 
 def disk_circle(curve: CircleCurve, theta: float, s0: float = 0.0) -> InvariantCircle:
@@ -89,6 +88,8 @@ def _bessel_pair(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     For k <= m <= x the recurrence runs in the oscillatory range, where it
     is stable; each entry sees the same arithmetic whatever else is in the
     batch."""
+    from scipy.special import j0, j1
+
     a, b = j0(x), j1(x)
     for k in range(1, int(m[-1]) + 1):
         s = np.searchsorted(m, k)
@@ -110,6 +111,8 @@ def _bessel_zeros(orders, x_max: float) -> tuple[np.ndarray, np.ndarray]:
     an error far below an ulp.  A zero depends only on its order and its
     cell, never on the other orders or on x_max.
     """
+    from scipy.special import j0, j1
+
     orders = np.asarray(orders, dtype=int)
     x = _GRID_STEP * np.arange(math.ceil(x_max / _GRID_STEP) + 1)
     wanted = set(orders.tolist())

@@ -39,18 +39,10 @@ class NewtonDivergence(NumericalError):
     """Safeguarded Newton refinement failed to converge."""
 
 
-class DegenerateChord(ValidationError):
-    """Chord endpoints coincide."""
-
-
 # -- invariant circles -------------------------------------------------------
 
 class OrbitTooShort(ValidationError):
     pass
-
-
-class NonCircleOrbit(ValidationError):
-    """Conserved-quantity drift says the orbit is not on one circle."""
 
 
 class ResonantRotation(ValidationError):
@@ -61,18 +53,15 @@ class FitDiverged(NumericalError):
     """Conjugacy fit did not reach the requested residual."""
 
 
-class NonPeriodicOrbit(ValidationError):
-    pass
-
-
-class HyperbolicPoint(ValidationError):
-    """Linearized return map has spectrum off the unit circle."""
-
-
 # -- homological equation ----------------------------------------------------
 
 class NonZeroMean(ValidationError):
     pass
+
+
+class ModeDimensionMismatch(ValidationError):
+    """A Fourier mode has more or fewer components than the torus has
+    dimensions."""
 
 
 class ResonantMode(ValidationError):
@@ -121,13 +110,6 @@ class EmptySpectrumAboveAlpha(ValidationError):
 
 class DTooSmall(ValidationError):
     """Cluster exponent d must exceed n/2."""
-
-
-class PathJumpsGap(ValidationError):
-    def __init__(self, q_index, t_index, message=None):
-        self.q_index = q_index
-        self.t_index = t_index
-        super().__init__(message or f"path {q_index} leaves its interval at grid step {t_index}")
 
 
 class GridTooCoarse(ValidationError):

@@ -12,13 +12,13 @@ supplied Taylor data of L supports.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disk import MASLOV_THETA, MASLOV_THETA0, bessel_zero, ebk_eigenvalue
+from .disk import (MASLOV_THETA, MASLOV_THETA0, disk_grad_L, disk_hess_L, disk_L,
+                   disk_third_L)
 from .errors import (DegenerateAction, GlancingCircle, MissingJet, NonPositiveD,
                      ParameterOutOfRange)
 from .geometry import TWO_PI
@@ -56,39 +56,30 @@ class BirkhoffData:
 
     @classmethod
     def from_action(cls, ad: ActionData, maslov: tuple[int, int] = (0, 0),
-                    radon_value: float | None = None,
-                    birkhoff_p: dict | None = None, M: int = 2,
-                    L3: float | None = None) -> "BirkhoffData":
-        p = dict(birkhoff_p or {})
-        if radon_value is not None:
-            p[(0, 0)] = p.get((0, 0), 0.0) - 2j * radon_value
+                    radon_value: float | None = None, M: int = 2) -> "BirkhoffData":
         return cls(I0=ad.I0, omega=ad.omega.omega, L0=ad.L0,
                    hessL=ad.hessL if ad.hessL is not None else 0.0,
                    maslov_theta0=maslov[0], maslov_theta=maslov[1],
-                   birkhoff_p=p, M=M, L3=L3)
+                   birkhoff_p=_radon_symbol(radon_value), M=M)
 
     @classmethod
     def disk(cls, theta: float, maslov: tuple[int, int] = (MASLOV_THETA0, MASLOV_THETA),
-             radon_value: float | None = None, birkhoff_p: dict | None = None,
-             M: int = 2) -> "BirkhoffData":
-        from .disk import disk_L, disk_grad_L, disk_hess_L, disk_third_L
+             radon_value: float | None = None, M: int = 2) -> "BirkhoffData":
         I0 = math.cos(theta)
         if 1.0 - I0 * I0 <= 0.0:
             raise GlancingCircle(f"disk circle at theta={theta!r} is glancing: cos(theta)^2 = 1")
         if I0 < 0.0:
             raise ParameterOutOfRange(f"disk quasimodes need cos(theta) >= 0, the action I0; "
                                       f"theta={theta!r} gives {I0!r}")
-        p = dict(birkhoff_p or {})
-        if radon_value is not None:
-            p[(0, 0)] = p.get((0, 0), 0.0) - 2j * radon_value
         return cls(I0=I0, omega=disk_grad_L(I0) / TWO_PI, L0=disk_L(I0),
                    hessL=disk_hess_L(I0), maslov_theta0=maslov[0],
-                   maslov_theta=maslov[1], birkhoff_p=p, M=M, L3=disk_third_L(I0))
+                   maslov_theta=maslov[1], birkhoff_p=_radon_symbol(radon_value), M=M,
+                   L3=disk_third_L(I0))
 
 
-def system_determinant(data: BirkhoffData) -> float:
-    """Determinant of the per-order 2x2 system; equals D(I0)."""
-    return data.D
+def _radon_symbol(radon_value: float | None) -> dict[tuple[int, int], complex]:
+    """The invariants p0_{j,alpha} a Radon value gives: p0_{0,0} = -2i * R."""
+    return {} if radon_value is None else {(0, 0): -2j * radon_value}
 
 
 @dataclass
@@ -145,15 +136,14 @@ def find_indices(data: BirkhoffData, d_n: float, k_range) -> IndexSet:
     return IndexSet(items=items, growth_constant=growth)
 
 
-def solve_recursion(data: BirkhoffData, q: tuple[int, int], mu0: float,
-                    M: int | None = None) -> QuasiEigenvalue:
-    """Solve the chain of 2x2 linear systems for (c_j, b_j), j = 0..M.
+def solve_recursion(data: BirkhoffData, q: tuple[int, int], mu0: float) -> QuasiEigenvalue:
+    """Solve the chain of 2x2 linear systems for (c_j, b_j), j = 0..data.M.
 
     Order j matches the epsilon^j coefficient of the two quantization
     equations; the right-hand sides V_j collect the Birkhoff invariants
     through the logarithm expansion and the Taylor terms of L at I0.
     """
-    M = data.M if M is None else M
+    M = data.M
     if M > 2:
         raise MissingJet(f"order M={M} needs L-jets beyond the supplied Hessian")
     if M < 0:
@@ -203,77 +193,10 @@ def solve_recursion(data: BirkhoffData, q: tuple[int, int], mu0: float,
                            max_imag=max_imag)
 
 
-def evaluate_mu(qe: QuasiEigenvalue, overrides: dict[int, float] | None = None
-                ) -> tuple[float, float]:
-    """Truncated series mu = mu0 + sum_j c_j (mu0)^{-j}; returns (mu, mu^2).
-
-    overrides replaces selected c_j before summation, which is how the
-    deformation families t -> mu_q(t) are produced.
-    """
+def evaluate_mu(qe: QuasiEigenvalue) -> tuple[float, float]:
+    """Truncated series mu = mu0 + sum_j c_j (mu0)^{-j}; returns (mu, mu^2)."""
     if qe.mu0 < 1.0:
         raise ParameterOutOfRange(f"mu0 must be >= 1, got {qe.mu0}")
-    c = qe.c.copy()
-    for j, val in (overrides or {}).items():
-        c[j] = val
     eps = 1.0 / qe.mu0
-    mu = qe.mu0 + sum(c[j] * eps ** j for j in range(len(c)))
+    mu = qe.mu0 + sum(qe.c[j] * eps ** j for j in range(len(qe.c)))
     return mu, mu * mu
-
-
-def quantization_residuals(data: BirkhoffData, qe: QuasiEigenvalue) -> tuple[float, float, float]:
-    """Defects of the two quantization equations at the solved series.
-
-    Independent of the recursion algebra: evaluates mu*zeta - (k+theta0/4)
-    and mu*L(zeta) + (1/i)Log(1 + p0(zeta,mu)/mu) - (2*pi*k_n - pi*theta/2)
-    directly.  Returns (|r1|, |Re r2|, |Im r2|): the real parts are
-    O(mu0^{-(M+1)}), while Im r2 carries the |p0_{0,0}|^2/(2 mu^2) modulus
-    defect of the unimodular symbol, the bookkeeping dropped when the
-    quasi-eigenvalue is taken real.
-    """
-    k, k_n = qe.q
-    M = qe.M
-    eps = 1.0 / qe.mu0
-    mu = qe.mu0 + sum(qe.c[j] * eps ** j for j in range(M + 1))
-    zeta = data.I0 + sum(qe.b[j] * eps ** (j + 1) for j in range(M + 2))
-    r1 = mu * zeta - (k + data.maslov_theta0 / 4.0)
-    dz = zeta - data.I0
-    L3 = data.L3 if data.L3 is not None else 0.0
-    L_val = data.L0 + TWO_PI * data.omega * dz + 0.5 * data.hessL * dz ** 2 + L3 * dz ** 3 / 6.0
-    p_val = 0j
-    for (j, alpha), pv in data.birkhoff_p.items():
-        p_val += pv * dz ** alpha * mu ** (-j)
-    r2 = mu * L_val + cmath.log(1.0 + p_val / mu) / 1j - (TWO_PI * k_n - 0.5 * math.pi * data.maslov_theta)
-    return abs(r1), abs(r2.real), abs(r2.imag)
-
-
-# ---------------------------------------------------------------------------
-# disk calibration report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EbkRow:
-    m: int
-    p: int
-    mu: float
-    oracle: float
-    abs_err: float
-    rel_err: float
-    scaled_err: float
-
-
-def disk_ebk_compare(m_values, p: int = 1,
-                     maslov: tuple[int, int] = (MASLOV_THETA0, MASLOV_THETA)) -> list[EbkRow]:
-    """Whispering-gallery quantization against the Bessel-zero oracle.
-
-    For each angular index m, the quantization pair is solved exactly for
-    (mu, theta) and compared with j_{m,p}; with the calibrated Maslov data
-    the relative error is well under 1e-3 for m >= 50 and decreases in m.
-    """
-    rows = []
-    for m in m_values:
-        mu = ebk_eigenvalue(int(m), p, maslov)
-        j = bessel_zero(int(m), p)
-        err = abs(mu - j)
-        rows.append(EbkRow(m=int(m), p=p, mu=mu, oracle=j, abs_err=err,
-                           rel_err=err / j, scaled_err=err * mu))
-    return rows

@@ -12,13 +12,15 @@ solve each (_turning_point).
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .billiard import _legendre01, refine
+from .billiard import EPS_GLANCE, _legendre01, refine
 from .errors import CirclesNotExchanged, GlancingCircle, HOutOfRange
 from .geometry import TWO_PI, BoundaryCurve, LiouvilleTable
 from .roots import float_newton
@@ -125,9 +127,9 @@ def symmetry_average(K: BoundaryFunction, G: SymmetryGroup) -> BoundaryFunction:
 # ---------------------------------------------------------------------------
 
 def torus_invariant(curve: BoundaryCurve, circles, K: BoundaryFunction,
-                    tol: float = 1e-9, eps_glance: float = 1e-6,
-                    full_output: bool = False):
-    """sum_j int K(s)/sin(theta) dmu_j, by node-doubling quadrature.
+                    tol: float = 1e-9, full_output: bool = False):
+    """sum_j int K(s)/sin(theta) dmu_j, by node-doubling quadrature; a
+    circle with sin(theta) below the glancing cutoff raises GlancingCircle.
 
     With full_output=True returns (value, nodes_used, est_error)."""
     if not isinstance(circles, (list, tuple)):
@@ -138,7 +140,7 @@ def torus_invariant(curve: BoundaryCurve, circles, K: BoundaryFunction,
         for circ in circles:
             s, xi, w = circ.measure_nodes(n)
             sin_theta = np.sqrt(1.0 - np.asarray(xi) ** 2)
-            if np.min(sin_theta) < eps_glance:
+            if np.min(sin_theta) < EPS_GLANCE:
                 raise GlancingCircle(
                     f"sin(theta) reaches {np.min(sin_theta):.2e} on a circle")
             total += float(np.dot(w, np.asarray(K(s), dtype=float) / sin_theta))
@@ -174,25 +176,21 @@ class LerayCircle:
     absorbs the inverse-square-root turning-point singularity of dx/sqrt(f - h).
     """
 
-    def __init__(self, table: LiouvilleTable, h: float, x_shift: float = 0.0,
-                 curve: BoundaryCurve | None = None):
+    def __init__(self, table: LiouvilleTable, h: float, x_shift: float = 0.0):
         if not (table.q_N < h < 0.0 or 0.0 < h < table.f_max):
             raise HOutOfRange(
                 f"h={h} is not a regular value in ({table.q_N}, 0) u (0, {table.f_max})")
         self.table = table
         self.h = h
         self.x_shift = x_shift
-        self._curve = curve
         if h > 0.0:
             x_h = _turning_point(table, h)
             self.ends = (x_h, math.pi - x_h)
 
-    @property
+    @functools.cached_property
     def curve(self) -> BoundaryCurve:
         """The planar table, built on first use: only measure_nodes needs it."""
-        if self._curve is None:
-            self._curve = self.table.boundary_curve()
-        return self._curve
+        return self.table.boundary_curve()
 
     def x_nodes(self, n: int):
         """(x, leray_weights, f) with sum w_i * g(x_i) ~ closed-loop
@@ -233,14 +231,16 @@ def rotational_circle(table: LiouvilleTable, h: float) -> LerayCircle:
     return LerayCircle(table, h)
 
 
-def librational_circles(table: LiouvilleTable, h: float,
-                        curve: BoundaryCurve | None = None) -> tuple[LerayCircle, LerayCircle]:
+def librational_circles(table: LiouvilleTable, h: float) -> tuple[LerayCircle, LerayCircle]:
     """The two components of {f - xi_x^2 = h}, exchanged by the boundary
-    reflection and by one application of the billiard map."""
-    if not 0.0 < h < table.f_max:
+    reflection and by one application of the billiard map.  The second is
+    a copy of the first shifted by pi, so x_h is solved once."""
+    first = LerayCircle(table, h)           # raises unless h is regular
+    if h < 0.0:
         raise HOutOfRange(f"h={h} outside the librational range (0, {table.f_max})")
-    return (LerayCircle(table, h, curve=curve),
-            LerayCircle(table, h, x_shift=math.pi, curve=curve))
+    second = copy.copy(first)
+    second.x_shift = math.pi
+    return first, second
 
 
 @dataclass
@@ -270,12 +270,12 @@ def liouville_radon(table: LiouvilleTable, K: BoundaryFunction, h: float,
         kern = np.asarray(K.in_x(x), dtype=float) * np.sqrt((f - table.q_N) / (h - table.q_N))
         return float(np.dot(w, kern))
 
-    lam1 = LerayCircle(table, h)
     if h < 0.0:
-        val, n, err = refine(lambda n: evaluate(lam1, n), 2048, tol, 2 ** 17, "rotational Radon")
+        circ = LerayCircle(table, h)
+        val, n, err = refine(lambda n: evaluate(circ, n), 2048, tol, 2 ** 17, "rotational Radon")
         return RadonPair(plus=val, minus=-val, n_nodes=n, est_error=err)
 
-    lam2 = LerayCircle(table, h, x_shift=math.pi)
+    lam1, lam2 = librational_circles(table, h)
     v1, n1, e1 = refine(lambda n: evaluate(lam1, n), 128, tol, 2 ** 17, "librational Radon")
     v2, n2, e2 = refine(lambda n: evaluate(lam2, n), 128, tol, 2 ** 17, "librational Radon")
     return RadonPair(plus=v1, minus=v2, n_nodes=max(n1, n2), est_error=max(e1, e2))

@@ -3,11 +3,14 @@
 The forward operator maps symmetric boundary functions (the cos(2jx)
 basis, invariant under both reflections) to their Radon profiles over a
 grid of rotational levels h; injectivity at matrix scale is witnessed by
-the smallest singular value, and reconstruction uses a truncated SVD
-since the continuum problem is Abel-type and mildly ill-posed.  The
-rotation profile omega(h) is the ratio of the two period integrals of the
-separated flow (radon.rotation_function), so no orbit is run and tables
-without a planar realization are served too.
+the smallest singular value, and reconstruction uses a truncated SVD.  On
+rotational levels q(N) < h < 0 the kernel 1/sqrt(f - h) is smooth, so the
+transform is Stieltjes-like and exponentially ill-posed: on
+elliptic_table(1, 1) with J = 10 and 20 levels from q(N) + 0.05 to -0.05,
+the singular values fall about tenfold per index and sigma_min/sigma_max
+is 2.7e-11.  The rotation profile omega(h) is the ratio of the two period
+integrals of the separated flow (radon.rotation_function), so no orbit is
+run and tables without a planar realization are served too.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CutoffOutOfRange, DTooSmall, EmptySpectrumAboveAlpha,
-                     GridTooCoarse, NoClusters, PathCountMismatch, PathJumpsGap,
+                     GridTooCoarse, NoClusters, PathCountMismatch,
                      TooFewEigenvalues, TooFewIntervals)
 from .roots import bracketed_newton
 
@@ -42,11 +42,6 @@ class Spectrum:
         if vals.shape[1] != 1:
             raise ValueError(f"{path}: expected one eigenvalue per line, found {vals.shape[1]}")
         return cls(vals[:, 0], dimension=dimension)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            for v in self.eigenvalues:
-                fh.write(f"{v:.17g}\n")
 
 
 @dataclass
@@ -266,7 +261,7 @@ def weyl_fit(spec: Spectrum) -> dict:
 
 
 def trap_constancy(paths: np.ndarray, setI: IntervalClusterSet, s: int, M: float,
-                   mu0_list, raise_on_jump: bool = False) -> dict:
+                   mu0_list) -> dict:
     """Trap each path t -> mu_q(t)^2 in one fattened interval and test the
     decaying drift bound that forces the order-(s+1) coefficient constant.
 
@@ -276,6 +271,8 @@ def trap_constancy(paths: np.ndarray, setI: IntervalClusterSet, s: int, M: float
     t-independent index, grid steps must stay under half the minimal gap
     (else GridTooCoarse), and (mu0)^(s+1) |mu(t)-mu(0)| must stay below
     eps_q = C (a^(s/2)(b-a) + c a^((s-beta)/2)) with eps_q decreasing.
+    A path that leaves its interval is recorded untrapped, with jump_at the
+    first grid index outside it.
     """
     paths = np.atleast_2d(np.asarray(paths, dtype=float))
     mu0 = np.asarray(mu0_list, dtype=float)
@@ -312,8 +309,6 @@ def trap_constancy(paths: np.ndarray, setI: IntervalClusterSet, s: int, M: float
                 break
             k0 = k
         if jump_at is not None:
-            if raise_on_jump:
-                raise PathJumpsGap(qi, jump_at)
             records.append({"q_index": int(qi), "mu0": float(mu0[qi]),
                             "trapped": False, "jump_at": int(jump_at)})
             all_trapped = False

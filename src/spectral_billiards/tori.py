@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .billiard import (EPS_GLANCE, Orbit, PhasePoint, billiard_map,
-                       billiard_map_many, map_jacobian, orbit)
-from .errors import (FitDiverged, HyperbolicPoint, NonCircleOrbit,
-                     NonPeriodicOrbit, OrbitTooShort, ResonantRotation)
+                       billiard_map_many, orbit)
+from .errors import (FitDiverged, OrbitTooShort, ParameterOutOfRange,
+                     ResonantRotation)
 from .geometry import TWO_PI, BoundaryCurve, CircleCurve, EllipseCurve
 
 
@@ -83,27 +83,18 @@ def liouville_integral(curve: BoundaryCurve, s, xi):
     return (a * a - b * b) * sin2 - np.asarray(xi) ** 2 * speed2
 
 
-def rotation_number(orb: Orbit, invariant=None) -> RotationData:
+def rotation_number(orb: Orbit) -> RotationData:
     """Rotation number of an orbit confined to one invariant circle.
 
     Weighted Birkhoff average of the lifted arclength increments; the
     error estimate comes from two half-sample estimates, and the method
     falls back to the order-based estimator if they disagree by > 1e-6.
-    If a conserved quantity invariant(s, xi) is given, it must hold along
-    the orbit to 1e-8 relative.
     """
     total_length = orb.curve.total_length
     increments = np.diff(orb.s_lifted)
     n = len(increments)
     if n < 1000:
         raise OrbitTooShort(f"need >= 1000 bounces, got {n}")
-    if invariant is not None:
-        vals = np.asarray(invariant(orb.s_mod, orb.xi), dtype=float)
-        drift = np.max(np.abs(vals - vals[0]))
-        scale = max(1.0, abs(float(vals[0])))
-        if drift > 1e-8 * scale:
-            raise NonCircleOrbit(f"conserved quantity drifts by {drift:.3e}")
-
     full = weighted_birkhoff_average(increments) / total_length
     half1 = weighted_birkhoff_average(increments[: n // 2]) / total_length
     half2 = weighted_birkhoff_average(increments[n // 2:]) / total_length
@@ -114,6 +105,8 @@ def rotation_number(orb: Orbit, invariant=None) -> RotationData:
 
 
 def _order_based(s_lifted: np.ndarray, total_length: float) -> RotationData:
+    """Best-return rational estimate p/q (error ~ 1/q^2 along
+    continued-fraction denominators)."""
     s_rel = s_lifted - s_lifted[0]
     frac = (s_rel % total_length) / total_length
     dist = np.minimum(frac, 1.0 - frac)[1:]
@@ -123,18 +116,12 @@ def _order_based(s_lifted: np.ndarray, total_length: float) -> RotationData:
     return RotationData(p_best / n_best, err, "order-based")
 
 
-def rotation_number_order_based(orb: Orbit) -> RotationData:
-    """Best-return rational estimate p/q; the independent oracle for the
-    weighted average (error ~ 1/q^2 along continued-fraction denominators)."""
-    return _order_based(orb.s_lifted, orb.curve.total_length)
-
-
 def diophantine_kappa(omega, tau: float, k_max: int) -> DiophantineWitness:
     """Best constant kappa_hat = min |<omega,k>+k_n| * (sum|k_j|)^tau over
     the truncated lattice 0 < sum|k_j| <= k_max.  Exhaustive scan;
     kappa_hat = 0 flags an exact resonance in range."""
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise ParameterOutOfRange(f"k_max must be >= 1, got {k_max}")
     omega_vec = np.atleast_1d(np.asarray(omega, dtype=float))
     dim = len(omega_vec)
     best = math.inf
@@ -295,18 +282,21 @@ def _conjugacy_residual(curve: BoundaryCurve, circ: InvariantCircle):
     return float(np.max(np.hypot(ds, xi_img - xi_tgt))), float(np.mean(ds))
 
 
+_N_FIT = 8192                  # bounces of the orbit circle_conjugacy fits
+
+
 def circle_conjugacy(curve: BoundaryCurve, seed: PhasePoint, n_modes: int = 64,
-                     n_fit: int = 8192, tol_conj: float = 1e-8) -> InvariantCircle:
+                     tol_conj: float = 1e-8) -> InvariantCircle:
     """Fit the Fourier conjugacy of the invariant circle through seed.
 
-    One orbit supplies everything: the rotation number by weighted
-    Birkhoff averaging, the conjugacy coefficients by spline
+    One orbit of 8192 bounces supplies everything: the rotation number by
+    weighted Birkhoff averaging, the conjugacy coefficients by spline
     interpolation at the phases 2*pi*n*omega, and an omega-polish loop
     driven by the mean conjugacy defect.  Each round costs one batched
     map call; the loop refits while the residual falls and keeps the last
     fit that lowered it.
     """
-    orb = orbit(curve, seed, n_fit)
+    orb = orbit(curve, seed, _N_FIT)
     rot = rotation_number(orb)
     witness = diophantine_kappa(rot.omega % 1.0, 1.0, 50)
     if witness.kappa_hat < 1e-8:
@@ -315,7 +305,7 @@ def circle_conjugacy(curve: BoundaryCurve, seed: PhasePoint, n_modes: int = 64,
             f"kappa_hat={witness.kappa_hat:.3e} at k={witness.argmin_k}")
 
     L = curve.total_length
-    n_idx = np.arange(n_fit + 1)
+    n_idx = np.arange(_N_FIT + 1)
     omega_orbit = rot.omega
     best = None
     # the mean s-defect is linear in the omega error; each round returns,
@@ -340,7 +330,7 @@ def circle_conjugacy(curve: BoundaryCurve, seed: PhasePoint, n_modes: int = 64,
         return best
     raise FitDiverged(
         f"conjugacy residual {best.residual:.3e} above tolerance {tol_conj:.1e} "
-        f"with n_modes={n_modes}, n_fit={n_fit}")
+        f"with n_modes={n_modes}, n_fit={_N_FIT}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,49 +439,3 @@ def action_data(curve: BoundaryCurve, circ: InvariantCircle, hess: bool = True) 
     hessL = -_mean_twist(curve, circ, 1024) if hess else None
     return ActionData(I0=I0, L0=L0, gradL=gradL, hessL=hessL, A_avg=A_avg,
                       omega=circ.omega)
-
-
-# ---------------------------------------------------------------------------
-# elliptic periodic points
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EllipticData:
-    alphas: tuple[float, ...]
-    trace: float
-    verdict: str               # "elliptic" | "parabolic"
-    resonant_orders: tuple[int, ...]
-    jacobian: np.ndarray = field(repr=False)
-
-
-def elliptic_fixed_point_data(curve: BoundaryCurve, periodic_orbit) -> EllipticData:
-    """Spectrum of the linearized return map at a periodic orbit.
-
-    Differentiates B^m by central differences; classifies elliptic vs
-    parabolic and scans resonances <alpha,k> in Z up to order 4.
-    """
-    pts = list(periodic_orbit)
-    m = len(pts)
-    if m < 1:
-        raise ValueError("empty orbit")
-    p0 = pts[0]
-    q = p0
-    for _ in range(m):
-        q, _ = billiard_map(curve, q)
-    L = curve.total_length
-    gap = math.hypot(((q.s - p0.s + 0.5 * L) % L) - 0.5 * L, q.xi - p0.xi)
-    if gap > 1e-10:
-        raise NonPeriodicOrbit(f"B^{m} moves the point by {gap:.3e}")
-    jac = map_jacobian(curve, p0, iterations=m)
-    tr = float(np.trace(jac))
-    tol_unit = 1e-6
-    if abs(tr) > 2.0 + tol_unit:
-        raise HyperbolicPoint(f"trace {tr:.6f} is off the elliptic window")
-    if abs(abs(tr) - 2.0) <= tol_unit:
-        return EllipticData(alphas=(), trace=tr, verdict="parabolic",
-                            resonant_orders=(), jacobian=jac)
-    alpha = math.acos(max(-1.0, min(1.0, tr / 2.0))) / TWO_PI
-    resonant = tuple(k for k in range(1, 5)
-                     if abs(k * alpha - round(k * alpha)) < 1e-6)
-    return EllipticData(alphas=(alpha,), trace=tr, verdict="elliptic",
-                        resonant_orders=resonant, jacobian=jac)

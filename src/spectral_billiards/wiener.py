@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonZeroMean, ResonantMode
+from .errors import (ConfigError, ModeDimensionMismatch, NonZeroMean,
+                     ParameterOutOfRange, ResonantMode)
 from .tori import diophantine_kappa
 
 Key = tuple[int, ...]
@@ -27,7 +28,7 @@ def _as_key(k, dim: int) -> Key:
     else:
         key = tuple(int(c) for c in k)
     if len(key) != dim:
-        raise ValueError(f"mode {k} has dimension {len(key)}, expected {dim}")
+        raise ModeDimensionMismatch(f"mode {k} has dimension {len(key)}, expected {dim}")
     return key
 
 
@@ -155,7 +156,7 @@ class TorusFunction:
 def wiener_norm(u: TorusFunction, s: float) -> float:
     """Weighted Wiener norm sum (1+|k|_1)^s |u_k|; exact finite sum."""
     if s < 0.0:
-        raise ValueError("s must be nonnegative")
+        raise ParameterOutOfRange(f"s must be nonnegative, got {s}")
     return sum((1.0 + sum(abs(c) for c in k)) ** s * abs(v) for k, v in u.coeffs.items())
 
 
@@ -188,7 +189,7 @@ def solve_homological(f: TorusFunction, omega, kappa: float | None = None,
     if kappa is not None and deg > 0:
         witness = diophantine_kappa(np.atleast_1d(omega), tau, deg)
         if kappa > witness.kappa_hat * (1.0 + 1e-12):
-            raise ValueError(
+            raise ParameterOutOfRange(
                 f"kappa={kappa} exceeds the witnessed constant {witness.kappa_hat} "
                 f"at k_max={deg}; the solution bound would be unsupported")
     out: dict[Key, complex] = {}
@@ -202,54 +203,27 @@ def solve_homological(f: TorusFunction, omega, kappa: float | None = None,
     return TorusFunction(out, dim=f.dim)
 
 
-def derivative_sup_bound_check(u: TorusFunction, s: int) -> dict:
-    """Grid check of sup |d^alpha u| <= ||u||_s for all |alpha| <= s
-    (the computable half of the embedding of the Wiener space into C^s)."""
-    if s < 0 or s != int(s):
-        raise ValueError("s must be a nonnegative integer")
-    norm = wiener_norm(u, s)
-    rows = []
-    ok = True
-    if u.dim == 1:
-        phi = 2.0 * math.pi * np.arange(4096) / 4096
-        for a in range(s + 1):
-            sup = float(np.abs(u.derivative(a)(phi)).max()) if u.coeffs else 0.0
-            passed = sup <= norm * (1.0 + 1e-12)
-            ok &= passed
-            rows.append({"alpha": (a,), "sup": sup, "passed": passed})
-    else:
-        import itertools
-        side = max(8, int(round(4096 ** (1.0 / u.dim))))
-        axes = [2.0 * math.pi * np.arange(side) / side] * u.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        for alpha in itertools.product(range(s + 1), repeat=u.dim):
-            if sum(alpha) > s:
-                continue
-            sup = float(np.abs(u.derivative(alpha)(tuple(mesh))).max()) if u.coeffs else 0.0
-            passed = sup <= norm * (1.0 + 1e-12)
-            ok &= passed
-            rows.append({"alpha": alpha, "sup": sup, "passed": passed})
-    return {"norm": norm, "s": s, "rows": rows, "passed": ok}
-
-
-def save_coefficients(u: TorusFunction, path) -> None:
-    """Coefficient file: one line 'k_1 ... k_dim re im' per mode."""
-    with open(path, "w") as fh:
-        for k in sorted(u.coeffs):
-            v = u.coeffs[k]
-            ks = " ".join(str(c) for c in k)
-            fh.write(f"{ks} {v.real:.17g} {v.imag:.17g}\n")
-
-
 def load_coefficients(path, dim: int = 1) -> TorusFunction:
+    """Coefficient file: one line 'k_1 ... k_dim re im' per mode.
+
+    A mode of the wrong length raises ModeDimensionMismatch; a line of fewer
+    than three fields or with a field that does not parse raises ConfigError.
+    """
     coeffs: dict[Key, complex] = {}
     with open(path) as fh:
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
+            if len(parts) < 3:
+                raise ConfigError(f"{path}: malformed coefficient line {line!r}, "
+                                  f"expected 'k_1 ... k_{dim} re im'")
             if len(parts) != dim + 2:
-                raise ValueError(f"bad coefficient line: {line!r}")
-            k = tuple(int(c) for c in parts[:dim])
-            coeffs[k] = float(parts[dim]) + 1j * float(parts[dim + 1])
+                raise ModeDimensionMismatch(f"{path}: mode in line {line!r} has dimension "
+                                            f"{len(parts) - 2}, expected {dim}")
+            try:
+                k = tuple(int(c) for c in parts[:dim])
+                coeffs[k] = float(parts[dim]) + 1j * float(parts[dim + 1])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: malformed coefficient line {line!r}: {exc}") from None
     return TorusFunction(coeffs, dim=dim)

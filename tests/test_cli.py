@@ -9,7 +9,7 @@ import pytest
 
 from spectral_billiards import cli
 from spectral_billiards.geometry import make_ellipse
-from test_tori import ellipse_hess_L
+from .test_tori import ellipse_hess_L
 
 TABLE = {"type": "liouville", "c": 1.0, "N": 1.0}
 
@@ -148,12 +148,44 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys, command, config):
     assert error_of(capsys) == "ParameterOutOfRange"
 
 
-def test_fresh_import_leaves_scipy_optimize_out():
-    code = "import sys, spectral_billiards.cli; print('scipy.optimize' in sys.modules)"
+def _fresh_import_output(module):
+    code = f"import sys, spectral_billiards.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_fresh_import_leaves_scipy_optimize_out():
+    assert _fresh_import_output("scipy.optimize") == "False\n"
+
+
+def test_fresh_import_leaves_scipy_special_out():
+    assert _fresh_import_output("scipy.special") == "False\n"
+
+
+@pytest.mark.parametrize("command, config, error", [
+    ("homological", {**CONFIGS["homological"][0], "kappa": 10.0}, "ParameterOutOfRange"),
+    ("homological", {**CONFIGS["homological"][0], "s": -1.0}, "ParameterOutOfRange"),
+    ("homological", {**CONFIGS["homological"][0],
+                     "f": {"coeffs": [[1, 2, 1.0, 0.0], [-1, -2, 1.0, 0.0]]}},
+     "ModeDimensionMismatch"),
+    ("homological", {**CONFIGS["homological"][0], "f": {"file": "two-dim.txt"}},
+     "ModeDimensionMismatch"),
+    ("homological", {**CONFIGS["homological"][0], "f": {"file": "no-im.txt"}}, "ConfigError"),
+    ("homological", {**CONFIGS["homological"][0], "f": {"file": "nan.txt"}}, "ConfigError"),
+    ("circle", {**CONFIGS["circle"][0], "k_max": 0}, "ParameterOutOfRange"),
+], ids=["kappa-above-witness", "s<0", "mode-dimension", "file-mode-dimension",
+        "file-line-without-im", "file-line-not-a-number", "k_max<1"])
+def test_homological_and_circle_raise_typed_errors(tmp_path, capsys, monkeypatch,
+                                                   command, config, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two-dim.txt").write_text("1 2 1.0 0.0\n-1 -2 1.0 0.0\n")
+    (tmp_path / "no-im.txt").write_text("1 2.0\n")
+    (tmp_path / "nan.txt").write_text("1 abc 0.0\n")
+    rc, _ = run(tmp_path, command, config, CONFIGS[command][1])
+    assert rc == 2
+    assert error_of(capsys) == error
 
 
 def test_cluster_eigenvalue_below_the_cutoff_curve_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_billiards import radon
 from spectral_billiards.billiard import PhasePoint, billiard_map_many
 from spectral_billiards.disk import disk_circle
 from spectral_billiards.errors import (CirclesNotExchanged, GlancingCircle,
@@ -60,10 +61,9 @@ def test_pushforward_invariance(ellipse21):
 
 
 def test_glancing_circle_rejected(unit_circle):
-    circ = disk_circle(unit_circle, 1e-4)
+    circ = disk_circle(unit_circle, 1e-7)
     with pytest.raises(GlancingCircle):
-        torus_invariant(unit_circle, [circ], BoundaryFunction.constant(1.0),
-                        eps_glance=1e-3)
+        torus_invariant(unit_circle, [circ], BoundaryFunction.constant(1.0))
 
 
 # --- symmetry averaging -----------------------------------------------------------
@@ -171,6 +171,27 @@ def test_turning_points_match_the_elliptic_closed_forms(c):
             assert abs(_turning_point(table, h) - exact) <= 1e-15 * exact
 
 
+def test_librational_level_solves_its_turning_point_once(table_c1, monkeypatch):
+    calls = []
+
+    def counting(table, h):
+        calls.append(h)
+        return _turning_point(table, h)
+
+    monkeypatch.setattr(radon, "_turning_point", counting)
+    levels = [0.2, 0.5, 0.8]
+    for h in levels:
+        liouville_radon(table_c1, BoundaryFunction.constant(1.0), h)
+    assert calls == levels
+    # the second component is the first shifted by pi, bit for bit as if
+    # it had solved x_h itself
+    _, second = librational_circles(table_c1, 0.5)
+    monkeypatch.undo()
+    fresh = LerayCircle(table_c1, 0.5, x_shift=math.pi)
+    for got, want in zip(second.x_nodes(64), fresh.x_nodes(64)):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("h", [-1.6, 0.0, 1.5])
 def test_leray_circle_rejects_a_level_that_is_not_regular(table_c1, h):
     # q_N = -sinh(1)^2 = -1.38, f_max = 1
@@ -204,7 +225,7 @@ def test_orbit_circle_matches_leray_circle(table_c1):
 # --- bouncing-ball identity ---------------------------------------------------------
 
 def test_bouncing_ball_identity_asymmetric(ellipse21, table_e21):
-    lam1, lam2 = librational_circles(table_e21, 1.0, curve=ellipse21)
+    lam1, lam2 = librational_circles(table_e21, 1.0)
     G = SymmetryGroup.for_curve(ellipse21)
     K = BoundaryFunction.trig(ellipse21, cos_coeffs=[0.3, 0.0, 0.2],
                               sin_coeffs=[0.25, 0.4])
@@ -212,7 +233,7 @@ def test_bouncing_ball_identity_asymmetric(ellipse21, table_e21):
 
 
 def test_bouncing_ball_identity_symmetric_kernel(ellipse21, table_e21):
-    lam1, lam2 = librational_circles(table_e21, 0.7, curve=ellipse21)
+    lam1, lam2 = librational_circles(table_e21, 0.7)
     G = SymmetryGroup.for_curve(ellipse21)
     K = BoundaryFunction.trig(ellipse21, cos_coeffs=[0.0, 0.5])  # cos(4 pi s / L)
     K_sym = symmetry_average(K, G)
@@ -222,15 +243,15 @@ def test_bouncing_ball_identity_symmetric_kernel(ellipse21, table_e21):
 
 
 def test_bouncing_ball_constant_kernel(ellipse21, table_e21):
-    lam1, lam2 = librational_circles(table_e21, 1.4, curve=ellipse21)
+    lam1, lam2 = librational_circles(table_e21, 1.4)
     G = SymmetryGroup.for_curve(ellipse21)
     assert bouncing_ball_identity_check(ellipse21, lam1, lam2,
                                         BoundaryFunction.constant(1.0), G) < 1e-10
 
 
 def test_bouncing_ball_rejects_unrelated_circles(ellipse21, table_e21):
-    lam1, _ = librational_circles(table_e21, 1.0, curve=ellipse21)
-    _, other = librational_circles(table_e21, 2.0, curve=ellipse21)
+    lam1, _ = librational_circles(table_e21, 1.0)
+    _, other = librational_circles(table_e21, 2.0)
     G = SymmetryGroup.for_curve(ellipse21)
     with pytest.raises(CirclesNotExchanged):
         bouncing_ball_identity_check(ellipse21, lam1, other,

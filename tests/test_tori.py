@@ -5,19 +5,17 @@ import pytest
 from scipy import special
 
 from spectral_billiards import tori
-from spectral_billiards.billiard import Orbit, PhasePoint, billiard_map_many, orbit
+from spectral_billiards.billiard import (PhasePoint, billiard_map_many,
+                                         map_jacobian, orbit)
 from spectral_billiards.disk import (disk_L, disk_circle, disk_grad_L,
                                      disk_hess_L)
-from spectral_billiards.errors import (FitDiverged, HyperbolicPoint,
-                                       NonCircleOrbit, NonPeriodicOrbit,
-                                       OrbitTooShort, ResonantRotation)
+from spectral_billiards.errors import (FitDiverged, OrbitTooShort,
+                                       ResonantRotation)
 from spectral_billiards.geometry import make_ellipse
 from spectral_billiards.tori import (InvariantCircle, RotationData,
                                      _conjugacy_residual, action_data,
                                      circle_conjugacy, diophantine_kappa,
-                                     elliptic_fixed_point_data,
-                                     liouville_integral, rotation_number,
-                                     rotation_number_order_based)
+                                     rotation_number)
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,22 +80,14 @@ def test_rotation_number_ellipse_vs_order_based_oracle(ellipse21):
     short = orbit(ellipse21, PhasePoint(0.0, 0.5), 8192)
     rd = rotation_number(short)
     long = orbit(ellipse21, PhasePoint(0.0, 0.5), 1_000_000)
-    oracle = rotation_number_order_based(long)
+    oracle = tori._order_based(long.s_lifted, ellipse21.total_length)
     assert rd.omega % 1.0 == pytest.approx(oracle.omega % 1.0, abs=1e-8)
 
 
-def test_rotation_number_preconditions(unit_circle, ellipse21):
+def test_rotation_number_preconditions(unit_circle):
     ob = orbit(unit_circle, PhasePoint(0.0, 0.5), 100)
     with pytest.raises(OrbitTooShort):
         rotation_number(ob)
-    # inconsistent points: two different caustics stitched together
-    o1 = orbit(ellipse21, PhasePoint(0.0, 0.4), 600)
-    o2 = orbit(ellipse21, PhasePoint(0.0, 0.6), 600)
-    stitched = Orbit(curve=ellipse21, t_lifted=np.concatenate([o1.t_lifted, o2.t_lifted]),
-                     xi=np.concatenate([o1.xi, o2.xi]),
-                     lengths=np.concatenate([o1.lengths, o2.lengths]))
-    with pytest.raises(NonCircleOrbit):
-        rotation_number(stitched, invariant=lambda s, xi: liouville_integral(ellipse21, s, xi))
 
 
 # --- Diophantine witnesses ------------------------------------------------------
@@ -141,7 +131,7 @@ def test_kappa_two_dimensional():
 
 def test_disk_conjugacy_exact(unit_circle, golden):
     circ = circle_conjugacy(unit_circle, PhasePoint(0.0, math.cos(math.pi * golden)),
-                            n_modes=16, n_fit=4096)
+                            n_modes=16)
     assert circ.residual < 1e-10
     phi = np.linspace(0.0, TWO_PI, 65)
     assert np.max(np.abs(circ.xi_of_phi(phi) - math.cos(math.pi * golden))) < 1e-9
@@ -179,7 +169,7 @@ def test_glancing_fit_rejected(ellipse21):
 
 def test_resonant_seed_rejected(unit_circle):
     with pytest.raises(ResonantRotation):
-        circle_conjugacy(unit_circle, PhasePoint(0.0, 0.5), n_modes=16, n_fit=4096)
+        circle_conjugacy(unit_circle, PhasePoint(0.0, 0.5), n_modes=16)
 
 
 def test_ellipse_conjugacy_pointwise(ellipse21):
@@ -280,50 +270,56 @@ def test_ellipse_hess_against_period_integrals(a, b, xi0):
 
 # --- elliptic periodic points ---------------------------------------------------
 
-def _minor_axis_orbit(curve):
-    s_top = curve.arclength_of_param(math.pi / 2.0)
-    s_bot = curve.arclength_of_param(3.0 * math.pi / 2.0)
-    return [PhasePoint(s_top, 0.0), PhasePoint(s_bot, 0.0)]
+def _two_bounce_trace(curve, p, q):
+    """Trace of the Jacobian of B^2 at the two-bounce orbit p -> q -> p,
+    the product of the one-bounce Jacobians at q and at p."""
+    return float(np.trace(map_jacobian(curve, q) @ map_jacobian(curve, p)))
+
+
+def _minor_axis_trace(curve):
+    return _two_bounce_trace(curve, PhasePoint(curve.arclength_of_param(math.pi / 2.0), 0.0),
+                             PhasePoint(curve.arclength_of_param(3.0 * math.pi / 2.0), 0.0))
+
+
+def _rotation_angle(trace):
+    """alpha with trace = 2 cos(2 pi alpha), in units of a full turn."""
+    return math.acos(trace / 2.0) / TWO_PI
+
+
+def _resonant(alpha, order):
+    return abs(order * alpha - round(order * alpha)) < 1e-6
 
 
 def test_minor_axis_bounce_elliptic(ellipse21):
-    dat = elliptic_fixed_point_data(ellipse21, _minor_axis_orbit(ellipse21))
-    assert dat.verdict == "elliptic"
-    assert -2.0 < dat.trace < 2.0
+    tr = _minor_axis_trace(ellipse21)
+    assert abs(tr) < 2.0 - 1e-6
     # bouncing-ball stability: trace = 2(2pq - 1), p = q = 1 - len*curvature
     p = 1.0 - 2.0 * 1.0 / 4.0
-    assert dat.trace == pytest.approx(2.0 * (2.0 * p * p - 1.0), abs=1e-6)
+    assert tr == pytest.approx(2.0 * (2.0 * p * p - 1.0), abs=1e-6)
     # a = 2, b = 1 gives alpha = 1/3: an order-3 resonance
-    assert dat.alphas[0] == pytest.approx(1.0 / 3.0, abs=1e-7)
-    assert 3 in dat.resonant_orders
+    alpha = _rotation_angle(tr)
+    assert alpha == pytest.approx(1.0 / 3.0, abs=1e-7)
+    assert _resonant(alpha, 3)
 
 
 def test_circle_diameter_parabolic(unit_circle):
-    pts = [PhasePoint(0.0, 0.0), PhasePoint(math.pi, 0.0)]
-    dat = elliptic_fixed_point_data(unit_circle, pts)
-    assert dat.verdict == "parabolic"
-    assert dat.trace == pytest.approx(2.0, abs=1e-7)
+    tr = _two_bounce_trace(unit_circle, PhasePoint(0.0, 0.0), PhasePoint(math.pi, 0.0))
+    assert abs(abs(tr) - 2.0) <= 1e-6
+    assert tr == pytest.approx(2.0, abs=1e-7)
 
 
 def test_quarter_resonance_flagged():
     # choose axes so the minor-axis trace vanishes: alpha = 1/4 exactly
-    from spectral_billiards.geometry import make_ellipse
     a = math.sqrt(2.0 / (1.0 - 1.0 / math.sqrt(2.0)))
-    e = make_ellipse(a, 1.0)
-    dat = elliptic_fixed_point_data(e, _minor_axis_orbit(e))
-    assert dat.verdict == "elliptic"
-    assert dat.alphas[0] == pytest.approx(0.25, abs=1e-7)
-    assert 4 in dat.resonant_orders
-
-
-def test_non_periodic_rejected(ellipse21):
-    with pytest.raises(NonPeriodicOrbit):
-        elliptic_fixed_point_data(ellipse21, [PhasePoint(0.3, 0.2), PhasePoint(1.0, 0.2)])
+    tr = _minor_axis_trace(make_ellipse(a, 1.0))
+    assert abs(tr) < 2.0 - 1e-6
+    alpha = _rotation_angle(tr)
+    assert alpha == pytest.approx(0.25, abs=1e-7)
+    assert _resonant(alpha, 4)
 
 
 def test_hyperbolic_major_axis(ellipse21):
     # the major-axis two-bounce orbit of an ellipse is unstable
-    s0 = 0.0
-    s1 = ellipse21.total_length / 2.0
-    with pytest.raises(HyperbolicPoint):
-        elliptic_fixed_point_data(ellipse21, [PhasePoint(s0, 0.0), PhasePoint(s1, 0.0)])
+    tr = _two_bounce_trace(ellipse21, PhasePoint(0.0, 0.0),
+                           PhasePoint(ellipse21.total_length / 2.0, 0.0))
+    assert abs(tr) > 2.0 + 1e-6

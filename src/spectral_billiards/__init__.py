@@ -19,7 +19,7 @@ from .spectra import (IntervalClusterSet, Spectrum, build_clusters,
                       trap_constancy, verify_H1, verify_H2, weyl_fit)
 from .tori import (ActionData, DiophantineWitness, InvariantCircle,
                    RotationData, action_data, circle_conjugacy,
-                   diophantine_kappa, liouville_integral, rotation_number)
+                   diophantine_kappa, rotation_number)
 from .wiener import (TorusFunction, apply_Lomega, load_coefficients,
                      solve_homological, wiener_norm)
 

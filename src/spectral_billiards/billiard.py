@@ -2,15 +2,16 @@
 
 Phase space is (s, xi): arclength along the boundary and tangential
 momentum, |xi| < 1.  The outgoing unit direction at (s, xi) is
-xi*T(s) + sqrt(1-xi^2)*nu(s).  The bounce itself lives on the curve:
-BoundaryCurve.step finds the next intersection with the boundary in the
-construction parameter t (closed form for circles/ellipses; on Fourier
+xi*T(s) + sqrt(1-xi^2)*nu(s).  The bounce itself lives on the curve, in
+the construction parameter t (closed form for circles/ellipses; on Fourier
 curves roots.float_newton on the radial gap, bracketed by the curvature
 bounds of Blaschke's rolling theorem).  Batches of phase points go through
 billiard_map_many, which converts s <-> t once for the whole batch and
 bounces it with BoundaryCurve.step_many: array arithmetic on conics, the
 scalar step mapped over the nodes on Fourier curves.  billiard_map is its
-one-point view and orbit() calls the scalar step in t.
+one-point view.  orbit() converts s -> t once and runs the curve's
+orbit_t: on conics one scalar kernel that carries the point and tangent
+from bounce to bounce, on Fourier curves the scalar step in a loop.
 The chord length is the generating function of the map:
 d(len)/ds = -xi, d(len)/ds' = xi'.
 """
@@ -23,11 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GlancingRay, NewtonDivergence, NoTransversalHit,
-                     ParameterOutOfRange, QuadratureNonConvergence)
-from .geometry import TWO_PI, BoundaryCurve
-
-EPS_GLANCE = 1e-6
+from .errors import GlancingRay, ParameterOutOfRange, QuadratureNonConvergence
+from .geometry import EPS_GLANCE, TWO_PI, BoundaryCurve
 
 
 @dataclass(frozen=True)
@@ -121,29 +119,12 @@ class Orbit:
 
 
 def orbit(curve: BoundaryCurve, p: PhasePoint, m: int) -> Orbit:
-    """Iterate the billiard map m times from p."""
+    """Iterate the billiard map m times from p: one s -> t solve, then the
+    curve's own orbit_t."""
     if m < 1:
         raise ParameterOutOfRange(f"need at least one bounce, got m = {m}")
-    ts = np.empty(m + 1)
-    xis = np.empty(m + 1)
-    ells = np.empty(m)
     t = curve.param_of_arclength(p.s % curve.total_length)
-    xi = p.xi
-    ts[0], xis[0] = t, xi
-    lift = t
-    for i in range(m):
-        if abs(xi) > 1.0 - EPS_GLANCE:
-            raise GlancingRay(f"bounce {i}: |xi| = {abs(xi)} exceeds the glancing cutoff")
-        try:
-            t_next, xi, ell = curve.step(t % TWO_PI, xi)
-        except (NoTransversalHit, NewtonDivergence) as exc:
-            raise type(exc)(f"bounce {i}: {exc}") from exc
-        # forward lift: the generating function len(s, s') is defined on the
-        # branch s' - s in (0, L), so every bounce advances by dt in (0, 2pi)
-        lift += (t_next - t) % TWO_PI
-        t = t_next
-        ts[i + 1], xis[i + 1] = lift, xi
-        ells[i] = ell
+    ts, xis, ells = curve.orbit_t(t, p.xi, m)
     return Orbit(curve=curve, t_lifted=ts, xi=xis, lengths=ells)
 
 

@@ -9,26 +9,30 @@ spectrally accurate for smooth curves, inverted by Newton iteration.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NoTransversalHit, ValidationError
+from .errors import (ConfigError, GlancingRay, NewtonDivergence,
+                     NoTransversalHit, ValidationError)
 from .roots import float_newton
 
 _ARCLENGTH_SAMPLES = 4096
 
 TWO_PI = 2.0 * math.pi
 
+EPS_GLANCE = 1e-6          # orbits stop once |xi| exceeds 1 - EPS_GLANCE
+
 
 class BoundaryCurve:
     """Closed convex planar curve with arclength parametrization.
 
     Subclasses supply the t-parametrization (``position_t`` and its two
-    derivatives) and the billiard bounce, as ``step`` on one point and
-    ``step_many`` on arrays; this base class builds total_length, s <-> t
+    derivatives) and the billiard bounce, as ``step_many`` on arrays and
+    either ``step`` on one point, which the base ``orbit_t`` iterates, or
+    an ``orbit_t`` of their own; this base class builds total_length, s <-> t
     conversion and the s-parametrized geometry accessors on top of it.
     """
 
@@ -60,25 +64,28 @@ class BoundaryCurve:
         k = np.arange(1, len(coeffs))
         keep = np.abs(coeffs[1:]) > 1e-16 * self._mean_speed
         # the integral of sum 2*Re(c_k e^{ikt}) is 2*Im(P(e^{it})) + const
-        # with P(z) = sum_k (c_k/k) z^k; Horner wants the top coefficient first
+        # with P(z) = sum_k (c_k/k) z^k; the kept k are multiples of their gcd
+        # g (even harmonics only on an ellipse), so Horner runs in w = z^g,
+        # top coefficient first
         top = k[keep].max(initial=0)
+        self._arc_gcd = max(int(np.gcd.reduce(k[keep])), 1)
         poly = np.where(keep[:top], coeffs[1: top + 1] / k[:top], 0.0)
-        self._arc_horner = poly[::-1].tolist()
+        self._arc_horner = poly[self._arc_gcd - 1::self._arc_gcd][::-1].tolist()
         self._arc_offset = -2.0 * float(np.imag(poly).sum())
         self.total_length = 2.0 * np.pi * self._mean_speed
 
     def arclength_of_param(self, t):
         """Cumulative arclength s(t) from t=0, exact for the Fourier model:
         mean speed times t plus 2*Im(P(e^{it})), P evaluated by Horner's
-        rule from one complex exponential per point."""
+        rule in w = e^{igt} from one complex exponential per point."""
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        z = np.exp(1j * t)
-        acc = np.zeros_like(z)
+        w = np.exp(1j * (self._arc_gcd * t))
+        acc = np.zeros_like(w)
         for c in self._arc_horner:
             # not in place: numpy's in-place complex product on a length-1
             # array rounds differently, and batches must equal single points
-            acc = (acc + c) * z
+            acc = (acc + c) * w
         s = self._mean_speed * t + 2.0 * acc.imag + self._arc_offset
         return float(s[0]) if scalar else s
 
@@ -102,7 +109,8 @@ class BoundaryCurve:
     def step(self, t: float, xi: float) -> tuple[float, float, float]:
         """One bounce of the billiard map from parameter t with tangential
         momentum xi: returns (t' in [0, 2*pi), xi', chord length) as
-        floats.  orbit() calls it once per bounce."""
+        floats.  The base orbit_t calls it once per bounce; conics have no
+        scalar step, their orbit_t runs the kernel _conic_orbit."""
         raise NotImplementedError
 
     def step_many(self, t: np.ndarray, xi: np.ndarray):
@@ -110,6 +118,29 @@ class BoundaryCurve:
         default step mapped over them, so equal to one-point calls bit for bit."""
         out = [self.step(a, b) for a, b in zip(np.asarray(t, float).tolist(), np.asarray(xi, float).tolist())]
         return tuple(np.array(out, dtype=float).reshape(-1, 3).T)
+
+    def orbit_t(self, t: float, xi: float, m: int):
+        """m bounces from parameter t with momentum xi: the arrays (t lifted,
+        xi, chord length), of lengths m+1, m+1 and m.  Each bounce advances
+        the lift by (t' - t) mod 2*pi, since the generating function
+        len(s, s') is defined on the branch s' - s in (0, L); ts[0] is t.
+        Before each bounce |xi| is checked against the glancing cutoff, and
+        a failed bounce is raised again with its index."""
+        ts, xis, ells = np.empty(m + 1), np.empty(m + 1), np.empty(m)
+        ts[0], xis[0] = t, xi
+        lift = t
+        for i in range(m):
+            if abs(xi) > 1.0 - EPS_GLANCE:
+                raise GlancingRay(f"bounce {i}: |xi| = {abs(xi)} exceeds the glancing cutoff")
+            try:
+                t_next, xi, ell = self.step(t % TWO_PI, xi)
+            except (NoTransversalHit, NewtonDivergence) as exc:
+                raise type(exc)(f"bounce {i}: {exc}") from exc
+            lift += (t_next - t) % TWO_PI
+            t = t_next
+            ts[i + 1], xis[i + 1] = lift, xi
+            ells[i] = ell
+        return ts, xis, ells
 
     # s-parametrized accessors ------------------------------------------------
     def position(self, s):
@@ -141,27 +172,16 @@ class BoundaryCurve:
         return bool(np.all(self.curvature_t(t) > 0.0))
 
 
-# numpy's functions under the names of the math module, so that one body of
-# conic arithmetic runs on floats (ops=math) and on arrays (ops=_ARRAY_OPS);
-# numpy before 2.0 has no atan2 alias of its own.
-_ARRAY_OPS = SimpleNamespace(cos=np.cos, sin=np.sin, sqrt=np.sqrt, hypot=np.hypot,
-                             atan2=np.arctan2)
-
-
-def _conic_step(a: float, b: float, t, xi, ops=math):
-    """One bounce on x^2/a^2 + y^2/b^2 = 1 in the angle parameter t.
-
-    Returns (t', xi', chord length).  The one body of arithmetic runs on
-    floats with ops=math and elementwise on arrays with ops=_ARRAY_OPS; the
-    two differ only where numpy's and the C library's elementary functions
-    round differently.  Callers keep |xi| < 1 (the glancing cutoff).
-    """
-    ct, st = ops.cos(t), ops.sin(t)
+def _conic_step(a: float, b: float, t, xi):
+    """One bounce on x^2/a^2 + y^2/b^2 = 1 in the angle parameter t, on
+    arrays of nodes: returns the arrays (t', xi', chord length).  Callers
+    keep |xi| < 1 (the glancing cutoff)."""
+    ct, st = np.cos(t), np.sin(t)
     x0, y0 = a * ct, b * st
     vx, vy = -a * st, b * ct
-    sp = ops.hypot(vx, vy)
+    sp = np.hypot(vx, vy)
     tx, ty = vx / sp, vy / sp
-    eta = ops.sqrt(1.0 - xi * xi)
+    eta = np.sqrt(1.0 - xi * xi)
     dx = xi * tx - eta * ty
     dy = xi * ty + eta * tx
     ia2, ib2 = 1.0 / (a * a), 1.0 / (b * b)
@@ -174,11 +194,60 @@ def _conic_step(a: float, b: float, t, xi, ops=math):
         df = 2.0 * (x1 * dx * ia2 + y1 * dy * ib2)
         u -= f / df
         x1, y1 = x0 + u * dx, y0 + u * dy
-    t1 = ops.atan2(y1 / b, x1 / a) % TWO_PI
-    wx, wy = -a * ops.sin(t1), b * ops.cos(t1)
-    wsp = ops.hypot(wx, wy)
+    t1 = np.arctan2(y1 / b, x1 / a) % TWO_PI
+    wx, wy = -a * np.sin(t1), b * np.cos(t1)
+    wsp = np.hypot(wx, wy)
     xi1 = (dx * wx + dy * wy) / wsp
     return t1, xi1, u
+
+
+def _conic_orbit(a: float, b: float, t0: float, xi0: float, m: int):
+    """m bounces on x^2/a^2 + y^2/b^2 = 1 from angle t0 with momentum xi0:
+    the arrays (t lifted, xi, chord length), of lengths m+1, m+1 and m.
+
+    The state is the point (X, Y) = (cos t, sin t) of the scaled
+    coordinates (x/a, y/b), on their unit circle, and the unit tangent
+    there.  The ray's direction (dx, dy) is (ex, ey) = (dx/a, dy/b) in
+    scaled coordinates, so the chord is the root u = -2(X ex + Y ey) /
+    (ex^2 + ey^2) of a quadratic with one root at 0.  The image point is
+    put back on the unit circle radially, and its tangent gives xi' and
+    carries over to the next bounce, so no bounce calls sin, cos or atan2:
+    t comes from one arctan2 over the stored points, lifted forward by
+    (t' - t) mod 2*pi as in BoundaryCurve.orbit_t, with the same glancing
+    check before every bounce.
+    """
+    cut = 1.0 - EPS_GLANCE
+    X, Y = math.cos(t0), math.sin(t0)
+    vx, vy = -a * Y, b * X
+    sp = math.hypot(vx, vy)
+    tx, ty = vx / sp, vy / sp
+    xi = float(xi0)
+    # buffers of 8-byte floats, read by numpy without a copy
+    xs, ys, xis, ells = (array("d", [0.0]) * m for _ in range(4))
+    for i in range(m):
+        if abs(xi) > cut:
+            raise GlancingRay(f"bounce {i}: |xi| = {abs(xi)} exceeds the glancing cutoff")
+        eta = math.sqrt(1.0 - xi * xi)
+        dx = xi * tx - eta * ty
+        dy = xi * ty + eta * tx
+        ex, ey = dx / a, dy / b
+        u = -2.0 * (X * ex + Y * ey) / (ex * ex + ey * ey)
+        X += u * ex
+        Y += u * ey
+        r = math.hypot(X, Y)
+        X /= r
+        Y /= r
+        vx, vy = -a * Y, b * X
+        sp = math.hypot(vx, vy)
+        tx, ty = vx / sp, vy / sp
+        xi = dx * tx + dy * ty
+        xs[i] = X
+        ys[i] = Y
+        xis[i] = xi
+        ells[i] = u
+    steps = np.diff(np.arctan2(np.frombuffer(ys), np.frombuffer(xs)), prepend=t0) % TWO_PI
+    return (np.cumsum(np.concatenate([[t0], steps])), np.concatenate([[xi0], np.frombuffer(xis)]),
+            np.frombuffer(ells))
 
 
 class CircleCurve(BoundaryCurve):
@@ -216,11 +285,11 @@ class CircleCurve(BoundaryCurve):
             return np.full(np.shape(t), 1.0 / self.r)
         return 1.0 / self.r
 
-    def step(self, t, xi):
+    def step_many(self, t, xi):
         return _conic_step(self.r, self.r, t, xi)
 
-    def step_many(self, t, xi):
-        return _conic_step(self.r, self.r, t, xi, _ARRAY_OPS)
+    def orbit_t(self, t, xi, m):
+        return _conic_orbit(self.r, self.r, t, xi, m)
 
 
 class EllipseCurve(BoundaryCurve):
@@ -247,11 +316,11 @@ class EllipseCurve(BoundaryCurve):
         t = np.asarray(t, dtype=float)
         return -self.a * np.cos(t), -self.b * np.sin(t)
 
-    def step(self, t, xi):
+    def step_many(self, t, xi):
         return _conic_step(self.a, self.b, t, xi)
 
-    def step_many(self, t, xi):
-        return _conic_step(self.a, self.b, t, xi, _ARRAY_OPS)
+    def orbit_t(self, t, xi, m):
+        return _conic_orbit(self.a, self.b, t, xi, m)
 
 
 class FourierCurve(BoundaryCurve):

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CutoffOutOfRange, DTooSmall, EmptySpectrumAboveAlpha,
-                     GridTooCoarse, NoClusters, PathCountMismatch,
-                     TooFewEigenvalues, TooFewIntervals)
+from .errors import (ConfigError, CutoffOutOfRange, DTooSmall,
+                     EmptySpectrumAboveAlpha, GridTooCoarse, NoClusters,
+                     PathCountMismatch, TooFewEigenvalues, TooFewIntervals)
 from .roots import bracketed_newton
 
 
@@ -37,10 +37,14 @@ class Spectrum:
     @classmethod
     def from_file(cls, path, dimension: int = 2) -> "Spectrum":
         """One eigenvalue per line; blank lines and lines starting with #
-        are skipped."""
-        vals = np.loadtxt(path, ndmin=2)
+        are skipped.  A line that does not parse, or a file with more than
+        one value per line, raises ConfigError."""
+        try:
+            vals = np.loadtxt(path, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed spectrum file: {exc}") from None
         if vals.shape[1] != 1:
-            raise ValueError(f"{path}: expected one eigenvalue per line, found {vals.shape[1]}")
+            raise ConfigError(f"{path}: expected one eigenvalue per line, found {vals.shape[1]}")
         return cls(vals[:, 0], dimension=dimension)
 
 

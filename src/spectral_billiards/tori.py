@@ -27,7 +27,7 @@ from .billiard import (EPS_GLANCE, Orbit, PhasePoint, billiard_map,
                        billiard_map_many, orbit)
 from .errors import (FitDiverged, OrbitTooShort, ParameterOutOfRange,
                      ResonantRotation)
-from .geometry import TWO_PI, BoundaryCurve, CircleCurve, EllipseCurve
+from .geometry import TWO_PI, BoundaryCurve
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +67,6 @@ class DiophantineWitness:
     @property
     def resonant(self) -> bool:
         return self.kappa_hat == 0.0
-
-
-def liouville_integral(curve: BoundaryCurve, s, xi):
-    """First integral of the ellipse map, f(t) - xi_x^2 in confocal
-    coordinates; reduces to -xi^2 r^2 on the circle."""
-    if isinstance(curve, CircleCurve):
-        return -np.asarray(xi) ** 2 * curve.r**2
-    if not isinstance(curve, EllipseCurve):
-        raise TypeError("conserved quantity is only available for circles and ellipses")
-    a, b = curve.a, curve.b
-    t = curve.param_of_arclength(np.asarray(s) % curve.total_length)
-    sin2 = np.sin(t) ** 2
-    speed2 = a * a * sin2 + b * b * (1.0 - sin2)
-    return (a * a - b * b) * sin2 - np.asarray(xi) ** 2 * speed2
 
 
 def rotation_number(orb: Orbit) -> RotationData:

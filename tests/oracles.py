@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
-Each one checks the package by a route of its own: the generating relations
-of the chord length by finite differences, and the quantization equations
-evaluated directly at a solved quasi-eigenvalue series.
+Each one checks the package by a route of its own: the conserved quantity
+of the ellipse map, the generating relations of the chord length by finite
+differences, and the quantization equations evaluated directly at a solved
+quasi-eigenvalue series.
 """
 
 from __future__ import annotations
@@ -10,13 +11,30 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from spectral_billiards.errors import ValidationError
-from spectral_billiards.geometry import TWO_PI, BoundaryCurve
+from spectral_billiards.geometry import (TWO_PI, BoundaryCurve, CircleCurve,
+                                         EllipseCurve)
 from spectral_billiards.quasi import BirkhoffData, QuasiEigenvalue
 
 
 class DegenerateChord(ValidationError):
     """Chord endpoints coincide."""
+
+
+def liouville_integral(curve: BoundaryCurve, s, xi):
+    """First integral of the ellipse map, f(t) - xi_x^2 in confocal
+    coordinates; reduces to -xi^2 r^2 on the circle."""
+    if isinstance(curve, CircleCurve):
+        return -np.asarray(xi) ** 2 * curve.r**2
+    if not isinstance(curve, EllipseCurve):
+        raise TypeError("conserved quantity is only available for circles and ellipses")
+    a, b = curve.a, curve.b
+    t = curve.param_of_arclength(np.asarray(s) % curve.total_length)
+    sin2 = np.sin(t) ** 2
+    speed2 = a * a * sin2 + b * b * (1.0 - sin2)
+    return (a * a - b * b) * sin2 - np.asarray(xi) ** 2 * speed2
 
 
 def chord_momenta(curve: BoundaryCurve, s: float, s_prime: float) -> tuple[float, float, float]:

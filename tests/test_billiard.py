@@ -8,9 +8,8 @@ from spectral_billiards.billiard import (PhasePoint, billiard_map,
                                          map_jacobian, orbit, refine)
 from spectral_billiards.disk import disk_circle
 from spectral_billiards.errors import GlancingRay, QuadratureNonConvergence
-from spectral_billiards.geometry import make_circle, make_fourier
-from spectral_billiards.tori import liouville_integral
-from .oracles import DegenerateChord, generating_residual
+from spectral_billiards.geometry import make_circle, make_ellipse, make_fourier
+from .oracles import DegenerateChord, generating_residual, liouville_integral
 
 
 def test_circle_diameter(unit_circle):
@@ -57,6 +56,54 @@ def test_ellipse_conserved_quantity(ellipse21):
     ob = orbit(ellipse21, PhasePoint(0.0, 0.5), 10_000)
     vals = liouville_integral(ellipse21, ob.s_mod, ob.xi)
     assert np.max(np.abs(vals - vals[0])) < 1e-9
+
+
+BENCH_ELLIPSES = {"ellipse21": (2.0, 1.0), "ellipse16": (1.6, 1.0)}
+
+
+@pytest.mark.parametrize("axes", BENCH_ELLIPSES.values(), ids=BENCH_ELLIPSES)
+@pytest.mark.parametrize("kind", ["rotational", "librational"])
+def test_conic_orbit_keeps_the_conserved_quantity(axes, kind):
+    # a rotational seed at the major vertex (F = -xi^2 b^2 < 0) and a
+    # librational one at the minor vertex (F = c^2 - xi^2 a^2 > 0); the
+    # spread measured 5.3e-11 to 1.4e-10 over 2*10^4 bounces
+    curve = make_ellipse(*axes)
+    p = PhasePoint(0.0, 0.5) if kind == "rotational" else PhasePoint(curve.total_length / 4.0, 0.1)
+    ob = orbit(curve, p, 20_000)
+    vals = liouville_integral(curve, ob.s_mod, ob.xi)
+    assert (vals[0] < 0.0) == (kind == "rotational")
+    assert np.max(np.abs(vals - vals[0])) < 1e-9
+
+
+@pytest.mark.parametrize("axes", BENCH_ELLIPSES.values(), ids=BENCH_ELLIPSES)
+def test_conic_orbit_is_reversible(axes):
+    # flip the last point's momentum and run back: the orbit returns to
+    # the seed with the momentum flipped.  The twist shears the rounding
+    # walk, so the gap grows with the bounces; after 100 bounces from 16
+    # random seeds it measured up to 4.4e-11 in t and 5.5e-11 in xi
+    curve = make_ellipse(*axes)
+    rng = np.random.default_rng(3)
+    for s0, xi0 in zip(rng.uniform(0.0, curve.total_length, 16), rng.uniform(-0.9, 0.9, 16)):
+        ob = orbit(curve, PhasePoint(s0, xi0), 100)
+        t, xi, _ = curve.orbit_t(ob.t_lifted[-1] % (2.0 * math.pi), -ob.xi[-1], 100)
+        dt = (t[-1] - ob.t_lifted[0] + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(dt) < 1e-9
+        assert abs(xi[-1] + xi0) < 5e-10
+
+
+@pytest.mark.parametrize("curve", [make_circle(1.3), *(make_ellipse(*ab) for ab in BENCH_ELLIPSES.values())],
+                         ids=["circle", *BENCH_ELLIPSES])
+def test_one_orbit_bounce_equals_the_array_map(curve):
+    # the kernel's closed-form chord against billiard_map_many's array step
+    rng = np.random.default_rng(8)
+    L = curve.total_length
+    s, xi = rng.uniform(0.0, L, 200), rng.uniform(-0.99, 0.99, 200)
+    s1, xi1, ell, _, _ = billiard_map_many(curve, s, xi)
+    for i in range(len(s)):
+        ob = orbit(curve, PhasePoint(float(s[i]), float(xi[i])), 1)
+        assert abs((ob.s_mod[1] - s1[i] + 0.5 * L) % L - 0.5 * L) <= 1e-14
+        assert abs(ob.xi[1] - xi1[i]) <= 1e-14
+        assert abs(ob.lengths[0] - ell[i]) <= 1e-14
 
 
 def test_generating_residual_circle_closed_form(unit_circle):

@@ -118,6 +118,24 @@ def test_missing_input_file_exits_2(tmp_path, capsys, where):
     assert "missing.txt" in report["message"]
 
 
+@pytest.mark.parametrize("text", ["1.0 2.0\n3.0 4.0\n", "1.0\nabc\n4.0\n"],
+                         ids=["two-values-per-line", "line-not-a-number"])
+@pytest.mark.parametrize("where", ["spectrum", "h2_files"])
+def test_malformed_spectrum_file_exits_2(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    config = dict(CONFIGS["cluster"][0])
+    if where == "spectrum":
+        config["spectrum"] = {"file": str(path), "dimension": 1}
+    else:
+        config["h2_files"] = [str(path)]
+    rc, _ = run(tmp_path, "cluster", config)
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "ConfigError"
+    assert "bad.txt" in report["message"]
+
+
 @pytest.mark.parametrize("config", [{"table": TABLE, "h_grid": {"count": 6}, "J": 0},
                                     {"table": TABLE, "h_grid": {"count": 6}, "J": -1},
                                     {"table": TABLE, "h_grid": {"count": 0}}],

@@ -8,10 +8,11 @@ from scipy.optimize import brentq
 from spectral_billiards.billiard import PhasePoint, orbit
 from spectral_billiards.errors import (ConfigError, NoTransversalHit,
                                        ValidationError)
-from spectral_billiards.geometry import (curve_from_spec, elliptic_table,
-                                         liouville_validate, make_circle,
-                                         make_ellipse, make_fourier,
-                                         table_from_spec, LiouvilleTable)
+from spectral_billiards.geometry import (FourierCurve, curve_from_spec,
+                                         elliptic_table, liouville_validate,
+                                         make_circle, make_ellipse,
+                                         make_fourier, table_from_spec,
+                                         LiouvilleTable)
 
 
 def test_unit_circle_closed_forms(unit_circle):
@@ -212,13 +213,15 @@ FOURIER_TABLES = {"fourier005": [1.0, 0.0, 0.0, 0.05],
                          + [(make_fourier(c), 0.0) for c in FOURIER_TABLES.values()],
                          ids=["circle", "ellipse21", *FOURIER_TABLES])
 def test_array_conic_step_matches_scalar_step(curve, tol):
-    # numpy's and the C library's sin, cos and atan2 may round apart by an
-    # ulp on conics; a Fourier step is step_many on one point, bit for bit
+    # a conic's scalar bounce is the first bounce of its orbit kernel, whose
+    # closed-form chord and radial projection round apart from the array
+    # step's Newton polish and atan2 by ulps; a Fourier step is step_many on
+    # one point, bit for bit
     rng = np.random.default_rng(5)
     t = rng.uniform(0.0, 2.0 * math.pi, 1000)
     xi = rng.uniform(-0.99, 0.99, 1000)
     t1, xi1, ell = curve.step_many(t, xi)
-    ref = np.array([curve.step(float(a), float(b)) for a, b in zip(t, xi)])
+    ref = np.array([_scalar_bounce(curve, float(a), float(b)) for a, b in zip(t, xi)])
     dt = (t1 - ref[:, 0] + math.pi) % (2.0 * math.pi) - math.pi
     assert np.max(np.abs(dt)) <= tol
     assert np.max(np.abs(xi1 - ref[:, 1])) <= tol
@@ -281,6 +284,15 @@ def test_fourier_step_matches_brent_root_of_the_gap(coeffs):
     assert np.max(np.abs(ell - ref[:, 2])) <= 1e-14
 
 
+def _scalar_bounce(curve, t, xi):
+    """(t', xi', chord length) of one scalar bounce: FourierCurve.step, and
+    on conics the first bounce of orbit_t."""
+    if isinstance(curve, FourierCurve):
+        return curve.step(t, xi)
+    ts, xis, ells = curve.orbit_t(t, xi, 1)
+    return ts[1], xis[1], ells[0]
+
+
 def _orbit_steps(curve, p, m):
     """orbit(curve, p, m) with every call of curve.step recorded as a row
     (t, xi, t', xi', chord length), so that each bounce can be re-run from
@@ -310,7 +322,10 @@ def test_fourier_bracket_scales_with_the_radius():
     # on a circle of radius 1.3 the bracket and the Newton start both scale
     # by 1.3, so the series table must bounce like the exact circle
     fourier = make_fourier([1.3])
-    rows = _orbit_steps(make_circle(1.3), PhasePoint(0.4, 0.6), 300)
+    ob = orbit(make_circle(1.3), PhasePoint(0.4, 0.6), 300)
+    # rows (t, xi, t', xi', chord length), one per bounce of the orbit
+    t = ob.t_lifted % (2.0 * math.pi)
+    rows = np.column_stack([t[:-1], ob.xi[:-1], t[1:], ob.xi[1:], ob.lengths])
     got = np.array([fourier.step(t, xi) for t, xi in rows[:, :2].tolist()])
     dt = (got[:, 0] - rows[:, 2] + math.pi) % (2.0 * math.pi) - math.pi
     assert np.max(np.abs(dt)) <= 1e-13

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from spectral_billiards.disk import dirichlet_spectrum
-from spectral_billiards.errors import (CutoffOutOfRange, DTooSmall,
+from spectral_billiards.errors import (ConfigError, CutoffOutOfRange, DTooSmall,
                                        EmptySpectrumAboveAlpha, GridTooCoarse,
                                        NoClusters, PathCountMismatch,
                                        TooFewEigenvalues, TooFewIntervals)
@@ -359,7 +359,7 @@ def test_spectrum_file_parse_equals_per_line_float(tmp_path):
 def test_spectrum_file_with_two_columns_is_rejected(tmp_path):
     path = tmp_path / "spec.txt"
     path.write_text("1.0 2.0\n3.0 4.0\n")
-    with pytest.raises(ValueError, match="one eigenvalue per line"):
+    with pytest.raises(ConfigError, match="one eigenvalue per line"):
         Spectrum.from_file(path)
 
 
